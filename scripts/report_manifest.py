@@ -1,0 +1,72 @@
+"""Print a sha256 manifest of everything the CLI emits for the shipped configs.
+
+Every config in ``<root>/configs`` runs through ``sweep`` in each format
+(csv, json, plot), ``build`` and ``price``; configs with a simulation block
+also run through ``simulate --errors`` and ``pfe``.  Each call gets a fresh
+output directory, and the manifest lists the sha256 of every file written
+there and of the call's stdout (with the output directory replaced by
+``<out>``), plus its exit code.  Two checkouts emit the same bytes exactly
+when their manifests are identical::
+
+    python scripts/report_manifest.py [root] > manifest.txt
+
+``root`` defaults to the checkout holding this script; the package is
+imported from ``<root>/src``.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+
+def _calls(config: Path):
+    """(label, argv tail) for every CLI call the manifest covers."""
+    calls = [(f"sweep-{fmt}", ["sweep", "--format", fmt]) for fmt in ("csv", "json", "plot")]
+    calls += [("build", ["build"]), ("price", ["price"])]
+    if "simulation" in json.loads(config.read_text()):
+        calls += [("simulate-errors", ["simulate", "--errors"]), ("pfe", ["pfe"])]
+    return calls
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", default=Path(__file__).resolve().parents[1],
+                        type=Path, help="checkout to run (default: this one)")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    from statichedge import cli
+
+    n_files = 0
+    for config in sorted((root / "configs").glob("*.cfg")):
+        for label, tail in _calls(config):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = cli.main(tail + ["--config", str(config), "--out", str(out)])
+                text = stdout.getvalue().replace(str(out), "<out>")
+                prefix = f"{config.name} {label}"
+                print(f"{prefix} exit={code}")
+                print(f"{_sha256(text.encode())}  {prefix} <stdout>")
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    print(f"{_sha256(path.read_bytes())}  {prefix} {path.relative_to(out)}")
+                    n_files += 1
+    print(f"# {n_files} emitted files", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .errors import ConfigError, NumericalError
 from .experiments import (
-    _build_portfolio,
     _value_context,
     emit,
     load_config,
@@ -78,14 +77,11 @@ def _cmd_price(cfg, args):
 
 
 def _cmd_build(cfg, args):
-    model, bands, orders = _value_context(cfg, cfg.sweep.values[0])
+    _, _, portfolios = _value_context(cfg, cfg.sweep.values[0])
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    for method in cfg.methods:
-        if method.name == "DH":
-            continue
-        portfolio = _build_portfolio(method.name, model, cfg, bands, orders)
+    for portfolio in portfolios.values():
         print(f"[{portfolio.method_tag}] legs={len(portfolio.legs)} "
               f"b0={portfolio.b0!r} edl={-portfolio.b0!r}")
         print("maturity,strike,weight")
@@ -109,14 +105,19 @@ def _require_simulation(cfg):
         raise ConfigError("simulation: block required for this subcommand")
 
 
+def _first_value_errors(cfg):
+    model, _, portfolios = _value_context(cfg, cfg.sweep.values[0])
+    _, errors, paths = simulate_methods(cfg, model, portfolios)
+    return errors, paths
+
+
 def _cmd_simulate(cfg, args):
     _require_simulation(cfg)
     report = run_experiment(cfg, threads=max(1, args.threads))
     written = emit(report, "json" if args.format == "json" else "csv", args.out or ".")
     if getattr(args, "errors", False):
         out = Path(args.out or ".")
-        model, bands, orders = _value_context(cfg, cfg.sweep.values[0])
-        _, errors, paths = simulate_methods(cfg, model, bands, orders)
+        errors, paths = _first_value_errors(cfg)
         for name, matrix in errors.items():
             path = out / f"errors_{name}.csv"
             write_errors_csv(path, paths.times, matrix)
@@ -128,8 +129,7 @@ def _cmd_simulate(cfg, args):
 
 def _cmd_pfe(cfg, args):
     _require_simulation(cfg)
-    model, bands, orders = _value_context(cfg, cfg.sweep.values[0])
-    _, errors, paths = simulate_methods(cfg, model, bands, orders)
+    errors, paths = _first_value_errors(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "pfe.csv"

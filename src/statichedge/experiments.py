@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, UndefinedPdlError
-from .models import BsParams, MjdParams, OptionRef
+from .errors import ConfigError, SpanningError, UndefinedPdlError
+from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, OptionRef
 from .simulation import (
     SimConfig,
     delta_hedge_run,
@@ -58,6 +58,8 @@ from .spanning import (
     build_gq1,
     build_gq2,
     build_gq_n,
+    check_band_order,
+    pdl,
 )
 
 __all__ = [
@@ -173,15 +175,11 @@ def _parse_band(section, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_band_order(bands, target, path="bands"):
-    for i, band in enumerate(bands):
-        if band.maturity >= target.maturity:
-            raise ConfigError(
-                f"{path}[{i}].maturity: must precede target maturity {target.maturity}"
-            )
-    for i in range(1, len(bands)):
-        if bands[i].maturity >= bands[i - 1].maturity:
-            raise ConfigError(f"{path}[{i}].maturity: maturities must strictly decrease")
+def _check_band_order(bands, target):
+    try:
+        check_band_order(bands, target)
+    except SpanningError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -270,6 +268,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         )
         if any(c > horizon + 1e-12 or c <= 0 for c in sim.checkpoints):
             raise ConfigError("simulation.checkpoints: must lie in (0, horizon]")
+        # Statistics are read off the grid column round(c / step).
         for c in sim.checkpoints:
             if abs(round(c / sim.step) * sim.step - c) > 1e-9:
                 raise ConfigError(
@@ -333,7 +332,8 @@ class Report:
 
 
 def _value_context(cfg: ExperimentConfig, value):
-    """Resolve (model, bands, per-method orders) for one sweep value."""
+    """Resolve one sweep value to ``(model, per-method orders, portfolios)``,
+    building every static portfolio (all methods but DH) exactly once."""
     model = cfg.model
     bands = list(cfg.bands)
     orders = {m.name: m.n for m in cfg.methods}
@@ -369,7 +369,9 @@ def _value_context(cfg: ExperimentConfig, value):
                 )
             model = replace(model, sigma=math.sqrt(resid))
     _check_band_order(bands, cfg.target)
-    return model, bands, orders
+    portfolios = {m.name: _build_portfolio(m.name, model, cfg, bands, orders)
+                  for m in cfg.methods if m.name != "DH"}
+    return model, orders, portfolios
 
 
 def _build_portfolio(name, model, cfg, bands, orders):
@@ -388,8 +390,9 @@ def _build_portfolio(name, model, cfg, bands, orders):
     raise ConfigError(f"method {name!r} does not build a static portfolio")
 
 
-def simulate_methods(cfg: ExperimentConfig, model, bands, orders):
-    """Run the simulation block for one resolved context.
+def simulate_methods(cfg: ExperimentConfig, model, portfolios):
+    """Run the simulation block for one resolved context, holding the
+    static ``portfolios`` (by method name) that ``_value_context`` built.
 
     Returns ``(stats, errors, paths)``: per-method checkpoint statistics
     and the raw discounted error matrices, all evaluated on one shared
@@ -404,36 +407,29 @@ def simulate_methods(cfg: ExperimentConfig, model, bands, orders):
         spot0=cfg.spot,
     )
     paths = simulate_paths(model, sim_cfg)
-    step = sim.step
-    indices = []
-    for c in sim.checkpoints:
-        idx = round(c / step)
-        if abs(idx * step - c) > 1e-9:
-            raise ConfigError(f"simulation.checkpoints: {c!r} is not on the step grid")
-        indices.append((c, idx))
     stats = {}
     errors = {}
     for m in cfg.methods:
         if m.name == "DH":
             err = delta_hedge_run(paths, model, cfg.target)
         else:
-            portfolio = _build_portfolio(m.name, model, cfg, bands, orders)
-            err = static_hedge_run(paths, portfolio, model)
+            err = static_hedge_run(paths, portfolios[m.name], model)
         errors[m.name] = err
         stats[m.name] = [
-            {"time": c, **summarize(err[:, idx]).to_dict()} for c, idx in indices
+            {"time": c, **summarize(err[:, round(c / sim.step)]).to_dict()}
+            for c in sim.checkpoints
         ]
     return stats, errors, paths
 
 
 def _evaluate_value(cfg: ExperimentConfig, value):
-    model, bands, orders = _value_context(cfg, value)
+    model, orders, portfolios = _value_context(cfg, value)
     methods = {}
     for m in cfg.methods:
         if m.name == "DH":
             methods[m.name] = {}
             continue
-        portfolio = _build_portfolio(m.name, model, cfg, bands, orders)
+        portfolio = portfolios[m.name]
         methods[m.name] = {
             "edl": -portfolio.b0,
             "legs": len(portfolio.legs),
@@ -441,12 +437,12 @@ def _evaluate_value(cfg: ExperimentConfig, value):
         }
     pdl_value = None
     if "GQ1" in methods and "GQ2" in methods:
-        a = methods["GQ1"]["edl"]
-        b = methods["GQ2"]["edl"]
-        if a != 0.0:
-            pdl_value = (abs(a) - abs(b)) / abs(a) * 100.0
+        try:
+            pdl_value = pdl(methods["GQ1"]["edl"], methods["GQ2"]["edl"])
+        except UndefinedPdlError:
+            pass
     if cfg.simulation is not None:
-        stats, _, _ = simulate_methods(cfg, model, bands, orders)
+        stats, _, _ = simulate_methods(cfg, model, portfolios)
         for name, stat_rows in stats.items():
             methods.setdefault(name, {})["stats"] = stat_rows
     return ReportRow(value, methods, pdl_value)
@@ -468,7 +464,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
         "defaults": {
             "n_inner_gq": cfg.modified_weight.n_inner_gq,
             "n_laguerre": cfg.modified_weight.n_laguerre,
-            "mjd_series": {"min_terms": 20, "pmf_cutoff": 1e-14, "max_terms": 180},
+            "mjd_series": {"min_terms": MIN_TERMS, "pmf_cutoff": PMF_CUTOFF,
+                           "max_terms": MAX_TERMS},
             "maturity_gap_guard": MATURITY_GAP,
         },
         "config": cfg.raw,

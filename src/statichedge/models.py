@@ -127,10 +127,11 @@ class OptionRef:
 
 
 def _as_positive_pair(S, K):
-    Sa, Ka = np.broadcast_arrays(np.asarray(S, dtype=float), np.asarray(K, dtype=float))
-    if np.any(Sa <= 0.0) or np.any(Ka <= 0.0):
-        raise DomainError("spot and strike must be strictly positive")
-    return Sa, Ka
+    Sa, Ka = np.asarray(S, dtype=float), np.asarray(K, dtype=float)
+    # Written so that NaN fails the comparison as well as zero and +-inf.
+    if not (np.all((Sa > 0.0) & (Sa < math.inf)) and np.all((Ka > 0.0) & (Ka < math.inf))):
+        raise DomainError("spot and strike must be finite and strictly positive")
+    return np.broadcast_arrays(Sa, Ka)
 
 
 def _maybe_scalar(out):
@@ -153,7 +154,7 @@ def mjd_series_terms(params: MjdParams, tau: float):
 
     r_n absorbs the jump compensator and the conditional mean of ``n``
     jumps; sigma_n^2 adds the per-horizon jump variance.  Truncated at the
-    first index >= 20 whose Poisson mass falls below 1e-14.
+    first index >= MIN_TERMS whose Poisson mass falls below PMF_CUTOFF.
     """
     if params.lam == 0.0:
         return np.array([1.0]), np.array([params.r]), np.array([params.sigma])
@@ -180,21 +181,21 @@ def mjd_series_terms(params: MjdParams, tau: float):
     return np.array(probs), np.array(rns), np.array(sns)
 
 
-def _bs_call(Sa, Ka, tau, r, q, sigma):
-    st = sigma * math.sqrt(tau)
-    d1 = (np.log(Sa / Ka) + (r - q + 0.5 * sigma ** 2) * tau) / st
-    return Sa * math.exp(-q * tau) * ndtr(d1) - Ka * math.exp(-r * tau) * ndtr(d1 - st)
+def _bs_d1(Sa, Ka, tau, model: BsParams):
+    """Black-Scholes ``d1`` and ``sigma sqrt(tau)``."""
+    st = model.sigma * math.sqrt(tau)
+    d1 = (np.log(Sa / Ka) + (model.r - model.delta_yield + 0.5 * model.sigma ** 2) * tau) / st
+    return d1, st
 
 
-def _mjd_call(Sa, Ka, tau, p: MjdParams):
-    probs, rns, sns = mjd_series_terms(p, tau)
-    S = Sa[..., None]
-    K = Ka[..., None]
+def _mjd_d1(Sa, Ka, tau, model: MjdParams):
+    """Per-term ``d1_n`` on a trailing series axis, with ``sigma_n sqrt(tau)``,
+    the Poisson probabilities and the per-term rates."""
+    probs, rns, sns = mjd_series_terms(model, tau)
     st = sns * math.sqrt(tau)
-    d1 = (np.log(S / K) + (rns - p.delta_yield + 0.5 * sns ** 2) * tau) / st
-    terms = probs * (S * np.exp((rns - p.delta_yield) * tau) * ndtr(d1)
-                     - K * ndtr(d1 - st))
-    return math.exp(-p.r * tau) * terms.sum(axis=-1)
+    d1 = (np.log(Sa[..., None] / Ka[..., None])
+          + (rns - model.delta_yield + 0.5 * sns ** 2) * tau) / st
+    return d1, st, probs, rns
 
 
 def call_price(model: ModelSpec, S, t, K, T):
@@ -208,10 +209,15 @@ def call_price(model: ModelSpec, S, t, K, T):
     tau = _tau_or_intrinsic(t, T)
     if tau is None:
         return _maybe_scalar(np.maximum(Sa - Ka, 0.0))
+    q = model.delta_yield
     if isinstance(model, MjdParams):
-        out = _mjd_call(Sa, Ka, tau, model)
+        d1, st, probs, rns = _mjd_d1(Sa, Ka, tau, model)
+        terms = probs * (Sa[..., None] * np.exp((rns - q) * tau) * ndtr(d1)
+                         - Ka[..., None] * ndtr(d1 - st))
+        out = math.exp(-model.r * tau) * terms.sum(axis=-1)
     else:
-        out = _bs_call(Sa, Ka, tau, model.r, model.delta_yield, model.sigma)
+        d1, st = _bs_d1(Sa, Ka, tau, model)
+        out = Sa * math.exp(-q * tau) * ndtr(d1) - Ka * math.exp(-model.r * tau) * ndtr(d1 - st)
     return _maybe_scalar(np.asarray(out))
 
 
@@ -239,15 +245,11 @@ def delta(model: ModelSpec, S, t, K, T):
         raise DomainError("delta undefined at or after expiry")
     q = model.delta_yield
     if isinstance(model, MjdParams):
-        probs, rns, sns = mjd_series_terms(model, tau)
-        st = sns * math.sqrt(tau)
-        d1 = (np.log(Sa[..., None] / Ka[..., None])
-              + (rns - q + 0.5 * sns ** 2) * tau) / st
+        d1, _, probs, rns = _mjd_d1(Sa, Ka, tau, model)
         out = math.exp(-model.r * tau) * (probs * np.exp((rns - q) * tau)
                                           * ndtr(d1)).sum(axis=-1)
     else:
-        st = model.sigma * math.sqrt(tau)
-        d1 = (np.log(Sa / Ka) + (model.r - q + 0.5 * model.sigma ** 2) * tau) / st
+        d1, _ = _bs_d1(Sa, Ka, tau, model)
         out = math.exp(-q * tau) * ndtr(d1)
     return _maybe_scalar(np.asarray(out))
 
@@ -268,15 +270,11 @@ def strike_gamma_weight(model: ModelSpec, x, u, K, T):
         raise DomainError(f"weight undefined for u >= T (u={u!r}, T={T!r})")
     q = model.delta_yield
     if isinstance(model, MjdParams):
-        probs, rns, sns = mjd_series_terms(model, tau)
-        st = sns * math.sqrt(tau)
-        d1 = (np.log(xa[..., None] / Ka[..., None])
-              + (rns - q + 0.5 * sns ** 2) * tau) / st
+        d1, st, probs, rns = _mjd_d1(xa, Ka, tau, model)
         terms = probs * np.exp((rns - q) * tau) * _npdf(d1) / (xa[..., None] * st)
         out = math.exp(-model.r * tau) * terms.sum(axis=-1)
     else:
-        st = model.sigma * math.sqrt(tau)
-        d1 = (np.log(xa / Ka) + (model.r - q + 0.5 * model.sigma ** 2) * tau) / st
+        d1, st = _bs_d1(xa, Ka, tau, model)
         out = math.exp(-q * tau) * _npdf(d1) / (xa * st)
     return _maybe_scalar(np.asarray(out))
 

@@ -7,11 +7,14 @@ point, each exact for polynomials of degree <= 2n-1 against its weight:
 * Hermite:   integral_{-inf}^{inf} e^{-x^2} f(x) dx ~ sum w_i f(x_i)
 * Laguerre:  integral_{0}^{inf} e^{-x} f(x) dx      ~ sum w_i f(x_i)
 
-On top of the raw rules sit the two combinators the hedge builders need:
+On top of the raw rules sit two public convenience combinators:
 ``integrate_bounded`` (affine map of a Legendre rule onto ``[a, b]``) and
 ``integrate_shifted_laguerre`` (a Laguerre rule translated to start at a
 finite lower limit, with the exponential weight divided back out so the
-plain integral of ``f`` is approximated).
+plain integral of ``f`` is approximated).  The hedge builders do not call
+them: ``spanning._excluded_region_rule`` assembles the same mapped-Legendre
+and shifted-Laguerre nodes and weights, so one vectorized kernel
+evaluation covers both pieces of the excluded region.
 
 Rules are cached per ``(kind, order)`` because experiment sweeps reuse
 them thousands of times.  Cached rules are immutable (read-only arrays)

@@ -150,6 +150,14 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
     return PathSet(times, values)
 
 
+def _check_horizon(times: np.ndarray, target: OptionRef):
+    if times[-1] >= target.maturity:
+        raise SimulationError(
+            f"grid horizon {times[-1]!r} must stay below the target maturity "
+            f"{target.maturity!r}"
+        )
+
+
 def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef) -> np.ndarray:
     """Discounted errors of a discretely rebalanced delta hedge.
 
@@ -160,11 +168,7 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef) -> np.n
     column 0 is identically zero.
     """
     times = paths.times
-    if times[-1] >= target.maturity:
-        raise SimulationError(
-            f"grid horizon {times[-1]!r} must stay below the target maturity "
-            f"{target.maturity!r}"
-        )
+    _check_horizon(times, target)
     r = model.r
     S = paths.values
     errors = np.zeros_like(S)
@@ -198,8 +202,7 @@ def static_hedge_run(paths: PathSet, portfolio: HedgePortfolio, model: ModelSpec
     """
     times = paths.times
     target = portfolio.target
-    if times[-1] >= target.maturity:
-        raise SimulationError("grid horizon must stay below the target maturity")
+    _check_horizon(times, target)
     leg_maturities = portfolio.maturities
     if leg_maturities and times[-1] > max(leg_maturities) + _GRID_TOL:
         raise SimulationError("grid horizon extends past the longest hedge leg")

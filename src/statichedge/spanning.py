@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,12 +137,21 @@ def _require_call_target(target: OptionRef):
         )
 
 
-def _require_short(band: StrikeBand, target: OptionRef):
-    if band.maturity >= target.maturity:
-        raise SpanningError(
-            f"short maturity {band.maturity!r} must precede the target "
-            f"maturity {target.maturity!r}"
-        )
+def check_band_order(bands, target: OptionRef):
+    """Require band maturities to precede the target's and to strictly
+    decrease; messages name ``bands[i].maturity``.  The minimum gap between
+    maturities is guarded by the carry step (``_level_weight``) instead."""
+    for i, band in enumerate(bands):
+        if band.maturity >= target.maturity:
+            raise SpanningError(
+                f"bands[{i}].maturity: must precede target maturity {target.maturity}"
+            )
+    for i in range(1, len(bands)):
+        if bands[i].maturity >= bands[i - 1].maturity:
+            raise SpanningError(
+                f"bands[{i}].maturity: maturities must strictly decrease "
+                f"(non-decreasing step {bands[i - 1].maturity!r} -> {bands[i].maturity!r})"
+            )
 
 
 def hermite_strike_map(model: ModelSpec, K: float, T: float, u: float, n: int):
@@ -173,12 +182,10 @@ def hermite_strike_map(model: ModelSpec, K: float, T: float, u: float, n: int):
 
 def _assemble(model, target, spot, legs, tag) -> HedgePortfolio:
     legs = tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
-    value = sum(
-        leg.weight * call_price(model, spot, 0.0, leg.strike, leg.maturity)
-        for leg in legs
-    )
+    portfolio = HedgePortfolio(target, float(spot), legs, 0.0, tag)
+    value = portfolio_value(portfolio, model, spot, 0.0)
     b0 = call_price(model, spot, 0.0, target.strike, target.maturity) - value
-    return HedgePortfolio(target, float(spot), legs, float(b0), tag)
+    return replace(portfolio, b0=float(b0))
 
 
 def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) -> HedgePortfolio:
@@ -188,7 +195,7 @@ def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) 
     outside ``[band.lo, band.hi]``; the previous order wins.
     """
     _require_call_target(target)
-    _require_short(band, target)
+    check_band_order([band], target)
     chosen = None
     for n in range(1, ORDER_CAP[HERMITE] + 1):
         pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
@@ -208,7 +215,7 @@ def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) 
 def build_cw_b(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand, n: int) -> HedgePortfolio:
     """Fixed-order Hermite ladder with out-of-band strikes dropped."""
     _require_call_target(target)
-    _require_short(band, target)
+    check_band_order([band], target)
     pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
     kept = [(k, w) for k, w in pairs if band.contains(k)]
     if not kept:
@@ -246,38 +253,38 @@ def _level_weight(model, target, x, u, carry):
 
     ``carry`` is None at the first (longest) short maturity, where the
     weight is the target option's gamma; deeper levels push the previous
-    level's excluded mass through the inter-maturity gamma kernel.
+    level's excluded mass through the inter-maturity gamma kernel, which
+    is guarded here against maturities closer than ``MATURITY_GAP``.
     """
     x = np.asarray(x, dtype=float)
     if carry is None:
         return strike_gamma_weight(model, x, u, target.strike, target.maturity)
     prev_nodes, prev_vals, prev_u = carry
+    if prev_u - u < MATURITY_GAP:
+        raise SingularMaturityError(
+            f"maturity {u!r} must precede {prev_u!r} by at least the "
+            f"{MATURITY_GAP:g}-year guard; the inter-maturity weight degenerates there"
+        )
     kernel = strike_gamma_weight(model, x[..., None], u, prev_nodes, prev_u)
     return kernel @ prev_vals
 
 
-def _validate_bands(bands, target):
+def _excluded_mass(model, target, band, cfg, carry):
+    """The carry for the next level: ``band``'s excluded-region nodes, their
+    quadrature-weighted spanning weights, and the band maturity."""
+    nodes, wts = _excluded_region_rule(band, cfg)
+    return nodes, wts * _level_weight(model, target, nodes, band.maturity, carry), band.maturity
+
+
+def _build_gq(model, target, S, bands, n, cfg, tag) -> HedgePortfolio:
+    _require_call_target(target)
     if not bands:
         raise SpanningError("at least one strike band is required")
     if len(bands) > MAX_BANDS:
         raise SpanningError(
             f"at most {MAX_BANDS} short maturities supported, got {len(bands)}"
         )
-    _require_short(bands[0], target)
-    for earlier, later in zip(bands, bands[1:]):
-        if later.maturity >= earlier.maturity:
-            raise SpanningError("band maturities must be strictly decreasing")
-        if earlier.maturity - later.maturity < MATURITY_GAP:
-            raise SingularMaturityError(
-                f"maturities {earlier.maturity!r} and {later.maturity!r} are "
-                f"closer than the {MATURITY_GAP:g}-year guard; the "
-                "inter-maturity weight degenerates there"
-            )
-
-
-def _build_gq(model, target, S, bands, n, cfg, tag) -> HedgePortfolio:
-    _require_call_target(target)
-    _validate_bands(bands, target)
+    check_band_order(bands, target)
     legs = []
     carry = None
     for i, band in enumerate(bands):
@@ -288,9 +295,7 @@ def _build_gq(model, target, S, bands, n, cfg, tag) -> HedgePortfolio:
             for k, w in zip(rule.nodes, rule.weights * wt)
         )
         if i + 1 < len(bands):
-            ex_nodes, ex_wts = _excluded_region_rule(band, cfg)
-            ex_vals = _level_weight(model, target, ex_nodes, band.maturity, carry)
-            carry = (ex_nodes, ex_wts * ex_vals, band.maturity)
+            carry = _excluded_mass(model, target, band, cfg, carry)
     return _assemble(model, target, S, legs, tag)
 
 
@@ -349,20 +354,8 @@ def modified_weight(
     identically ~0 when the band excludes nothing.  ``k2`` may be a scalar
     or an array.
     """
-    if u2 >= band1.maturity:
-        raise SpanningError(f"need u2 < band maturity, got u2={u2!r}")
-    if band1.maturity - u2 < MATURITY_GAP:
-        raise SingularMaturityError(
-            f"u2={u2!r} is within the {MATURITY_GAP:g}-year guard of the "
-            f"band maturity {band1.maturity!r}"
-        )
-    nodes, wts = _excluded_region_rule(band1, cfg)
-    vals = wts * strike_gamma_weight(
-        model, nodes, band1.maturity, target.strike, target.maturity
-    )
-    x = np.asarray(k2, dtype=float)
-    kernel = strike_gamma_weight(model, x[..., None], u2, nodes, band1.maturity)
-    out = kernel @ vals
+    carry = _excluded_mass(model, target, band1, cfg, None)
+    out = _level_weight(model, target, k2, u2, carry)
     return float(out) if np.ndim(k2) == 0 else out
 
 
@@ -430,7 +423,12 @@ def portfolio_from_csv(path) -> HedgePortfolio:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
         elif line and not line.startswith("maturity"):
-            maturity, strike, weight = (float(part) for part in line.split(","))
+            try:
+                maturity, strike, weight = (float(part) for part in line.split(","))
+            except ValueError as exc:
+                raise SpanningError(
+                    f"portfolio file {path}: malformed leg row {line!r}"
+                ) from exc
             legs.append(HedgeLeg(strike, maturity, weight))
     try:
         target = OptionRef(

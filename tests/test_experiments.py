@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from statichedge import ConfigError
+from statichedge import ConfigError, experiments
+from statichedge.models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF
 from statichedge.experiments import (
     Report,
     emit,
@@ -176,6 +178,28 @@ def test_simulation_stats_in_report(tmp_path):
     assert len(stats_lines) == 3
 
 
+def test_sweep_with_simulation_builds_each_portfolio_once(monkeypatch):
+    calls = Counter()
+    for name in ("build_cw_a", "build_gq1", "build_gq2"):
+        builder = getattr(experiments, name)
+
+        def counted(*args, _name=name, _builder=builder, **kwargs):
+            calls[_name] += 1
+            return _builder(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    data = _base_config()
+    data["methods"] = [{"name": "DH"}, {"name": "CW_a"}, {"name": "GQ1"}, {"name": "GQ2"}]
+    data["bands"] = [{"maturity": 40 / 252, "lo": 80.0, "hi": 120.0},
+                     {"maturity": 21 / 252, "lo": 60.0, "hi": 120.0}]
+    data["sweep"] = {"variable": "quad_points", "values": [4, 6]}
+    data["simulation"] = {"n_paths": 8, "seed": 5, "step": 1 / 252,
+                          "horizon": 21 / 252, "checkpoints": [21 / 252]}
+    report = run_experiment(parse_config(data))
+    assert all("stats" in info for info in report.rows[0].methods.values())
+    assert calls == {"build_cw_a": 2, "build_gq1": 2, "build_gq2": 2}
+
+
 def test_sweeping_into_the_maturity_guard_is_numerical_error():
     from statichedge import NumericalError
 
@@ -203,4 +227,7 @@ def test_metadata_echoes_defaults():
     md = report.metadata
     assert md["defaults"]["n_inner_gq"] == 5
     assert md["defaults"]["n_laguerre"] == 20
+    assert md["defaults"]["mjd_series"] == {
+        "min_terms": MIN_TERMS, "pmf_cutoff": PMF_CUTOFF, "max_terms": MAX_TERMS,
+    }
     assert md["config"]["model"]["sigma"] == 0.27

@@ -194,6 +194,15 @@ def test_intrinsic_at_expiry_and_domain_errors(bs_model):
         call_price(bs_model, -1.0, 0.0, STRIKE, MATURITY)
 
 
+@pytest.mark.parametrize("fn", [call_price, delta, strike_gamma_weight])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_spot_or_strike_is_domain_error(bs_model, fn, bad):
+    with pytest.raises(DomainError, match="finite"):
+        fn(bs_model, np.array([SPOT, bad]), 0.0, STRIKE, MATURITY)
+    with pytest.raises(DomainError, match="finite"):
+        fn(bs_model, SPOT, 0.0, bad, MATURITY)
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         BsParams(r=0.06, delta_yield=0.0, sigma=0.0)

@@ -20,6 +20,8 @@ from statichedge import (
     call_price,
     edl,
     hermite_strike_map,
+    make_rule,
+    map_to_interval,
     modified_weight,
     pdl,
     portfolio_from_csv,
@@ -264,6 +266,19 @@ def test_gq2_second_maturity_always_helps(bs_model, mjd_model, target):
             assert abs(e2) <= abs(e1)
 
 
+def test_gq2_band2_weights_are_rule_times_modified_weight(bs_model, mjd_model, target):
+    band1 = StrikeBand(U1, 80.0, 120.0)
+    band2 = StrikeBand(U2, 60.0, 120.0)
+    cfg = ModifiedWeightConfig(n_inner_gq=7, n_laguerre=16)
+    rule = map_to_interval(make_rule("legendre", 6), band2.lo, band2.hi)
+    for model in (bs_model, mjd_model):
+        portfolio = build_gq2(model, target, SPOT, band1, band2, 6, cfg)
+        legs = [leg for leg in portfolio.legs if leg.maturity == U2]
+        expected = rule.weights * modified_weight(model, target, rule.nodes, band1, U2, cfg)
+        assert [leg.strike for leg in legs] == rule.nodes.tolist()
+        assert [leg.weight for leg in legs] == expected.tolist()
+
+
 def test_gq2_weights_nonnegative(bs_model, target):
     portfolio = build_gq2(bs_model, target, SPOT, StrikeBand(U1, 80.0, 120.0),
                           StrikeBand(U2, 55.0, 120.0), 12)
@@ -407,4 +422,7 @@ def test_portfolio_csv_missing_header(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("maturity,strike,weight\n0.1,100.0,1.0\n")
     with pytest.raises(SpanningError, match="missing header"):
+        portfolio_from_csv(path)
+    path.write_text("# b0=0.0\nmaturity,strike,weight\n0.1,100.0\n")
+    with pytest.raises(SpanningError, match="malformed leg row '0.1,100.0'"):
         portfolio_from_csv(path)
