@@ -2,11 +2,13 @@
 
 Every config in ``<root>/configs`` runs through ``sweep`` in each format
 (csv, json, plot), ``build`` and ``price``; configs with a simulation block
-also run through ``simulate --errors`` and ``pfe``.  Each call gets a fresh
-output directory, and the manifest lists the sha256 of every file written
-there and of the call's stdout (with the output directory replaced by
-``<out>``), plus its exit code.  Two checkouts emit the same bytes exactly
-when their manifests are identical::
+also run through ``simulate --errors``, ``pfe`` and ``sweep --threads 2
+--seed 7`` (a second seed on a thread pool, so the per-model grouping of
+sweep values and the split of paths across threads are covered too).  Each
+call gets a fresh output directory, and the manifest lists the sha256 of
+every file written there and of the call's stdout (with the output
+directory replaced by ``<out>``), plus its exit code.  Two checkouts emit
+the same bytes exactly when their manifests are identical::
 
     python scripts/report_manifest.py [root] > manifest.txt
 
@@ -31,7 +33,8 @@ def _calls(config: Path):
     calls = [(f"sweep-{fmt}", ["sweep", "--format", fmt]) for fmt in ("csv", "json", "plot")]
     calls += [("build", ["build"]), ("price", ["price"])]
     if "simulation" in json.loads(config.read_text()):
-        calls += [("simulate-errors", ["simulate", "--errors"]), ("pfe", ["pfe"])]
+        calls += [("simulate-errors", ["simulate", "--errors"]), ("pfe", ["pfe"]),
+                  ("sweep-threads2-seed7", ["sweep", "--threads", "2", "--seed", "7"])]
     return calls
 
 

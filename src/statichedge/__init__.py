@@ -36,6 +36,7 @@ from .models import (
     ModelSpec,
     OptionRef,
     annualized_variance,
+    call_marks,
     call_price,
     delta,
     put_price,
@@ -56,6 +57,7 @@ from .simulation import (
     pfe_curves,
     simulate_paths,
     static_hedge_run,
+    static_hedge_runs,
     summarize,
     write_errors_csv,
 )
@@ -71,6 +73,7 @@ from .spanning import (
     build_gq_n,
     edl,
     hermite_strike_map,
+    leg_table,
     modified_weight,
     pdl,
     portfolio_from_csv,

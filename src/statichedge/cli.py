@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .models import call_price
 from .simulation import pfe_curves, write_errors_csv
-from .spanning import portfolio_to_csv
+from .spanning import leg_table, portfolio_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,9 +84,7 @@ def _cmd_build(cfg, args):
     for portfolio in portfolios.values():
         print(f"[{portfolio.method_tag}] legs={len(portfolio.legs)} "
               f"b0={portfolio.b0!r} edl={-portfolio.b0!r}")
-        print("maturity,strike,weight")
-        for leg in portfolio.legs:
-            print(f"{leg.maturity!r},{leg.strike!r},{leg.weight!r}")
+        print("\n".join(leg_table(portfolio)))
         if out:
             portfolio_to_csv(portfolio, out / f"portfolio_{portfolio.method_tag}.csv")
     return EXIT_OK

@@ -34,7 +34,9 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +45,11 @@ from . import __version__
 from .errors import ConfigError, SpanningError, UndefinedPdlError
 from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, OptionRef
 from .simulation import (
+    PathSet,
     SimConfig,
     delta_hedge_run,
     simulate_paths,
-    static_hedge_run,
+    static_hedge_runs,
     summarize,
 )
 from .spanning import (
@@ -390,40 +393,85 @@ def _build_portfolio(name, model, cfg, bands, orders):
     raise ConfigError(f"method {name!r} does not build a static portfolio")
 
 
+def _sim_config(cfg: ExperimentConfig) -> SimConfig:
+    sim = cfg.simulation
+    return SimConfig(n_paths=sim.n_paths, seed=sim.seed, step=sim.step,
+                     horizon=sim.horizon, spot0=cfg.spot)
+
+
+def _checkpoint_columns(sim: SimulationSettings) -> list:
+    # Statistics are read off the grid column round(c / step).
+    return [round(c / sim.step) for c in sim.checkpoints]
+
+
+def _checkpoint_stats(sim: SimulationSettings, errors: np.ndarray) -> list:
+    """Statistics per checkpoint; ``errors[:, j]`` holds the errors at
+    ``sim.checkpoints[j]``."""
+    return [{"time": c, **summarize(errors[:, j]).to_dict()}
+            for j, c in enumerate(sim.checkpoints)]
+
+
 def simulate_methods(cfg: ExperimentConfig, model, portfolios):
     """Run the simulation block for one resolved context, holding the
     static ``portfolios`` (by method name) that ``_value_context`` built.
 
     Returns ``(stats, errors, paths)``: per-method checkpoint statistics
     and the raw discounted error matrices, all evaluated on one shared
-    path set (common random numbers across methods).
+    path set (common random numbers across methods) and one static walk.
     """
-    sim = cfg.simulation
-    sim_cfg = SimConfig(
-        n_paths=sim.n_paths,
-        seed=sim.seed,
-        step=sim.step,
-        horizon=sim.horizon,
-        spot0=cfg.spot,
-    )
-    paths = simulate_paths(model, sim_cfg)
-    stats = {}
-    errors = {}
-    for m in cfg.methods:
-        if m.name == "DH":
-            err = delta_hedge_run(paths, model, cfg.target)
-        else:
-            err = static_hedge_run(paths, portfolios[m.name], model)
-        errors[m.name] = err
-        stats[m.name] = [
-            {"time": c, **summarize(err[:, round(c / sim.step)]).to_dict()}
-            for c in sim.checkpoints
-        ]
+    paths = simulate_paths(model, _sim_config(cfg))
+    static = dict(zip(portfolios, static_hedge_runs(paths, list(portfolios.values()), model)))
+    errors = {m.name: delta_hedge_run(paths, model, cfg.target) if m.name == "DH"
+              else static[m.name] for m in cfg.methods}
+    columns = _checkpoint_columns(cfg.simulation)
+    stats = {name: _checkpoint_stats(cfg.simulation, err[:, columns])
+             for name, err in errors.items()}
     return stats, errors, paths
 
 
-def _evaluate_value(cfg: ExperimentConfig, value):
-    model, orders, portfolios = _value_context(cfg, value)
+def _block_errors(cfg, model, paths, portfolios, columns, rows) -> list:
+    """Errors at the grid ``columns`` on the paths ``rows``: the delta
+    hedge's (when DH is configured), then each portfolio's."""
+    block = PathSet(paths.times, paths.values[rows])
+    errors = static_hedge_runs(block, portfolios, model, columns)
+    if any(m.name == "DH" for m in cfg.methods):
+        errors.insert(0, delta_hedge_run(block, model, cfg.target)[:, columns])
+    return errors
+
+
+def _sweep_stats(cfg: ExperimentConfig, contexts, pmap, n_blocks: int) -> list:
+    """Checkpoint statistics for every resolved sweep value, by method.
+
+    Values whose resolved models are equal (every value of a band, order,
+    ``u1`` or ``u2`` sweep) form one group: one path set, one delta hedge
+    and one static walk over all the group's portfolios, keeping only the
+    checkpoint columns.  Both hedge runs go through ``pmap`` on
+    ``n_blocks`` contiguous blocks of paths; they are elementwise across
+    paths, so the result does not depend on the block count.
+    """
+    sim = cfg.simulation
+    columns = _checkpoint_columns(sim)
+    groups = {}
+    for index, (model, _, _) in enumerate(contexts):
+        groups.setdefault(model, []).append(index)
+    stats = [None] * len(contexts)
+    for model, indices in groups.items():
+        paths = simulate_paths(model, _sim_config(cfg))
+        portfolios = [p for i in indices for p in contexts[i][2].values()]
+        n = paths.n_paths
+        k = min(n_blocks, n)
+        blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
+        run = partial(_block_errors, cfg, model, paths, portfolios, columns)
+        errors = iter([np.concatenate(part) for part in zip(*pmap(run, blocks))])
+        dh = next(errors) if any(m.name == "DH" for m in cfg.methods) else None
+        for i in indices:
+            static = {name: next(errors) for name in contexts[i][2]}
+            stats[i] = {m.name: _checkpoint_stats(sim, dh if m.name == "DH" else static[m.name])
+                        for m in cfg.methods}
+    return stats
+
+
+def _inception_row(cfg: ExperimentConfig, value, orders, portfolios) -> ReportRow:
     methods = {}
     for m in cfg.methods:
         if m.name == "DH":
@@ -441,22 +489,27 @@ def _evaluate_value(cfg: ExperimentConfig, value):
             pdl_value = pdl(methods["GQ1"]["edl"], methods["GQ2"]["edl"])
         except UndefinedPdlError:
             pass
-    if cfg.simulation is not None:
-        stats, _, _ = simulate_methods(cfg, model, portfolios)
-        for name, stat_rows in stats.items():
-            methods.setdefault(name, {})["stats"] = stat_rows
     return ReportRow(value, methods, pdl_value)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Evaluate every sweep value; rows keep the config's value order and
-    the result is independent of ``threads``."""
+    the result is independent of ``threads``.
+
+    Every value is resolved and built first (in parallel over values);
+    the simulation block then runs once per group of values sharing a
+    resolved model, in parallel over blocks of paths.
+    """
     values = list(cfg.sweep.values)
-    if threads > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: _evaluate_value(cfg, v), values))
-    else:
-        rows = [_evaluate_value(cfg, v) for v in values]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        pmap = pool.map if pool else map
+        contexts = list(pmap(lambda v: _value_context(cfg, v), values))
+        rows = [_inception_row(cfg, value, orders, portfolios)
+                for value, (_, orders, portfolios) in zip(values, contexts)]
+        if cfg.simulation is not None:
+            for row, stats in zip(rows, _sweep_stats(cfg, contexts, pmap, threads)):
+                for name, stat_rows in stats.items():
+                    row.methods.setdefault(name, {})["stats"] = stat_rows
     metadata = {
         "package": "statichedge",
         "version": __version__,

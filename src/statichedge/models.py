@@ -28,6 +28,7 @@ __all__ = [
     "ModelSpec",
     "OptionRef",
     "call_price",
+    "call_marks",
     "put_price",
     "delta",
     "strike_gamma_weight",
@@ -43,6 +44,10 @@ TAU_FLOOR = 1e-10
 MIN_TERMS = 20
 PMF_CUTOFF = 1e-14
 MAX_TERMS = 180
+
+# Largest (spots x strikes x series terms) block that ``call_marks`` hands
+# to one ``call_price`` call; bigger blocks only raise peak memory.
+MAX_BLOCK = 2 ** 15
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -219,6 +224,38 @@ def call_price(model: ModelSpec, S, t, K, T):
         d1, st = _bs_d1(Sa, Ka, tau, model)
         out = Sa * math.exp(-q * tau) * ndtr(d1) - Ka * math.exp(-model.r * tau) * ndtr(d1 - st)
     return _maybe_scalar(np.asarray(out))
+
+
+def call_marks(model: ModelSpec, S, t, pairs) -> dict:
+    """Mark each distinct ``(strike, maturity)`` in ``pairs`` once at spot
+    ``S`` and time ``t``; returns ``{(strike, maturity): price}``.
+
+    The strikes of one maturity share a ``call_price`` call on a trailing
+    strike axis, in blocks of at most ``MAX_BLOCK`` (spots x strikes x
+    series terms) elements.  Pricing is elementwise and sums the series per
+    element, so every mark is bitwise ``call_price(model, S, t, strike,
+    maturity)``.  Marks are floats for a scalar ``S``, else arrays shaped
+    like ``S``.
+    """
+    Sa = np.asarray(S, dtype=float)
+    by_maturity = {}
+    for strike, maturity in pairs:
+        by_maturity.setdefault(maturity, {})[strike] = None
+    marks = {}
+    for maturity, strikes in by_maturity.items():
+        strikes = list(strikes)
+        tau = _tau_or_intrinsic(t, maturity)
+        terms = 1
+        if tau is not None and isinstance(model, MjdParams):
+            terms = len(mjd_series_terms(model, tau)[0])
+        step = max(1, MAX_BLOCK // (max(Sa.size, 1) * terms))
+        for lo in range(0, len(strikes), step):
+            block = strikes[lo:lo + step]
+            prices = np.asarray(call_price(model, Sa[..., None], t, block, maturity))
+            for j, strike in enumerate(block):
+                mark = prices[..., j]
+                marks[strike, maturity] = float(mark) if Sa.ndim == 0 else mark
+    return marks
 
 
 def put_price(model: ModelSpec, S, t, K, T):

@@ -12,12 +12,22 @@ Hedge evolution marks everything under the risk-neutral parameters:
 
 * ``delta_hedge_run`` rebalances the stock hedge once per grid step using
   the self-financing recursion.
-* ``static_hedge_run`` holds a ``HedgePortfolio`` fixed, accrues the
-  inception cash residual ``b0`` at the risk-free rate, and rolls matured
-  legs' payoffs forward in the money market.
+* ``static_hedge_runs`` holds any number of ``HedgePortfolio``s fixed on
+  one path set, accrues each inception cash residual ``b0`` at the
+  risk-free rate, and rolls matured legs' payoffs forward in the money
+  market.  It is one time-major walk that marks each distinct (strike,
+  maturity) once per grid time: at every returned grid time it prices the
+  union of live legs and targets, one ``call_price`` pass per maturity
+  (``models.call_marks``), then adds each portfolio's weighted marks in
+  its own leg order.  Every sum is therefore bitwise the one a walk over
+  that portfolio alone computes, and ``static_hedge_run`` is the
+  one-portfolio case.  Marks are taken only at the returned grid times;
+  matured payoffs roll forward at every step.
 
 Errors are discounted (hedge minus target) and are exactly zero at time 0
-for every static portfolio, since ``b0`` absorbs the inception gap.
+for every static portfolio, since ``b0`` absorbs the inception gap.  Both
+hedge runs are elementwise across paths, so running them on a block of
+paths gives those rows of the full run to the bit.
 """
 from __future__ import annotations
 
@@ -29,7 +39,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import SimulationError
-from .models import MjdParams, ModelSpec, OptionRef, call_price, delta
+from .models import MjdParams, ModelSpec, OptionRef, call_marks, call_price, delta
 from .spanning import HedgePortfolio
 
 __all__ = [
@@ -39,13 +49,15 @@ __all__ = [
     "simulate_paths",
     "delta_hedge_run",
     "static_hedge_run",
+    "static_hedge_runs",
     "summarize",
     "pfe_curves",
     "write_errors_csv",
 ]
 
-# Poisson inversion cap; at the step intensities used here (lam * h << 1)
-# the tail beyond a few jumps per step is already below float resolution.
+# Poisson inversion cap.  At step intensities lam * h << 1 the tail beyond a
+# few jumps per step is already below float resolution; a draw that reaches
+# the cap with mass left raises instead of being truncated.
 MAX_JUMPS_PER_STEP = 64
 
 _GRID_TOL = 1e-9
@@ -110,6 +122,11 @@ def _poisson_inverse(u: np.ndarray, lam_h: float) -> np.ndarray:
         cdf = cdf + pk
         counts[remaining] = k
         remaining = u > cdf
+    if remaining.any():
+        raise SimulationError(
+            f"Poisson jump count exceeds the {MAX_JUMPS_PER_STEP}-jump cap per step "
+            f"at lam * h = {lam_h:g}; shorten the step"
+        )
     return counts
 
 
@@ -191,18 +208,10 @@ def _grid_index(times: np.ndarray, maturity: float) -> int:
     return idx
 
 
-def static_hedge_run(paths: PathSet, portfolio: HedgePortfolio, model: ModelSpec) -> np.ndarray:
-    """Discounted errors of a static hedge held through the grid.
-
-    The hedge value at each grid time is: live legs marked to model, plus
-    ``b0`` accrued at the risk-free rate, plus the intrinsic payoffs of
-    matured legs rolled forward in the money market.  Errors are
-    ``e^{-r t} (hedge - target price)`` and vanish at time 0 by the
-    construction of ``b0``.
-    """
-    times = paths.times
-    target = portfolio.target
-    _check_horizon(times, target)
+def _leg_expiries(times: np.ndarray, portfolio: HedgePortfolio) -> list:
+    """Check ``portfolio`` against the grid; return each leg's expiry grid
+    index, or None for a leg that outlives the horizon."""
+    _check_horizon(times, portfolio.target)
     leg_maturities = portfolio.maturities
     if leg_maturities and times[-1] > max(leg_maturities) + _GRID_TOL:
         raise SimulationError("grid horizon extends past the longest hedge leg")
@@ -211,28 +220,62 @@ def static_hedge_run(paths: PathSet, portfolio: HedgePortfolio, model: ModelSpec
     maturity_index = {
         m: _grid_index(times, m) for m in leg_maturities if m <= times[-1] + _GRID_TOL
     }
+    return [maturity_index.get(leg.maturity) for leg in portfolio.legs]
+
+
+def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None) -> list:
+    """Discounted errors of several static hedges held on one path set.
+
+    Returns one (n_paths, len(columns)) matrix per portfolio, column ``j``
+    holding the errors at grid index ``columns[j]`` (default: every grid
+    time).  Each portfolio's hedge value is its live legs marked to model,
+    plus ``b0`` accrued at the risk-free rate, plus the intrinsic payoffs
+    of its matured legs rolled forward in the money market.  Errors are
+    ``e^{-r t} (hedge - target price)``.  Live legs and targets are marked
+    once per returned grid time for all portfolios together.
+    """
+    times = paths.times
+    expiries = [_leg_expiries(times, p) for p in portfolios]
+    columns = range(len(times)) if columns is None else [int(c) for c in columns]
+    slots = {}
+    for j, c in enumerate(columns):
+        slots.setdefault(c, []).append(j)
     r = model.r
     S = paths.values
-    errors = np.zeros_like(S)
-    matured_cash = np.zeros(paths.n_paths)
+    out = [np.zeros((paths.n_paths, len(columns))) for _ in portfolios]
+    matured = [np.zeros(paths.n_paths) for _ in portfolios]
     for i, t in enumerate(times):
         if i > 0:
-            matured_cash = matured_cash * math.exp(r * (t - times[i - 1]))
-            for leg in portfolio.legs:
-                if maturity_index.get(leg.maturity) == i:
-                    matured_cash = matured_cash + leg.weight * np.maximum(
-                        S[:, i] - leg.strike, 0.0
-                    )
-        hedge = portfolio.b0 * math.exp(r * t) + matured_cash
-        for leg in portfolio.legs:
-            expiry = maturity_index.get(leg.maturity)
-            if expiry is None or expiry > i:
-                hedge = hedge + leg.weight * call_price(
-                    model, S[:, i], t, leg.strike, leg.maturity
-                )
-        marks = call_price(model, S[:, i], t, target.strike, target.maturity)
-        errors[:, i] = math.exp(-r * t) * (hedge - marks)
-    return errors
+            growth = math.exp(r * (t - times[i - 1]))
+            for k, (portfolio, expiry) in enumerate(zip(portfolios, expiries)):
+                matured[k] = matured[k] * growth
+                for leg, e in zip(portfolio.legs, expiry):
+                    if e == i:
+                        matured[k] = matured[k] + leg.weight * np.maximum(
+                            S[:, i] - leg.strike, 0.0
+                        )
+        if i not in slots:
+            continue
+        live = [[leg for leg, e in zip(p.legs, expiry) if e is None or e > i]
+                for p, expiry in zip(portfolios, expiries)]
+        marks = call_marks(model, S[:, i], t, [
+            *((p.target.strike, p.target.maturity) for p in portfolios),
+            *((leg.strike, leg.maturity) for legs in live for leg in legs),
+        ])
+        for k, portfolio in enumerate(portfolios):
+            hedge = portfolio.b0 * math.exp(r * t) + matured[k]
+            for leg in live[k]:
+                hedge = hedge + leg.weight * marks[leg.strike, leg.maturity]
+            target = marks[portfolio.target.strike, portfolio.target.maturity]
+            out[k][:, slots[i]] = (math.exp(-r * t) * (hedge - target))[:, None]
+    return out
+
+
+def static_hedge_run(paths: PathSet, portfolio: HedgePortfolio, model: ModelSpec) -> np.ndarray:
+    """Discounted errors of one static hedge at every grid time: the
+    one-portfolio case of ``static_hedge_runs``.  Errors vanish at time 0
+    by the construction of ``b0``."""
+    return static_hedge_runs(paths, [portfolio], model)[0]
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .models import (
     MjdParams,
     OptionRef,
     annualized_variance,
+    call_marks,
     call_price,
     strike_gamma_weight,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "portfolio_value",
     "edl",
     "pdl",
+    "leg_table",
     "portfolio_to_csv",
     "portfolio_from_csv",
 ]
@@ -361,10 +363,14 @@ def modified_weight(
 
 def portfolio_value(portfolio: HedgePortfolio, model: ModelSpec, S, t: float):
     """Mark the legs (only) at spot ``S`` and time ``t``; legs at maturity
-    are worth intrinsic value.  The cash residual ``b0`` is not included."""
+    are worth intrinsic value.  The cash residual ``b0`` is not included.
+
+    Each maturity's strikes are priced in one ``call_marks`` pass and the
+    weighted marks are summed in leg order."""
+    marks = call_marks(model, S, t, ((leg.strike, leg.maturity) for leg in portfolio.legs))
     total = 0.0
     for leg in portfolio.legs:
-        total = total + leg.weight * call_price(model, S, t, leg.strike, leg.maturity)
+        total = total + leg.weight * marks[leg.strike, leg.maturity]
     return total
 
 
@@ -389,6 +395,14 @@ def pdl(edl_gq1: float, edl_gq2: float) -> float:
 _HEADER_PREFIX = "# "
 
 
+def leg_table(portfolio: HedgePortfolio) -> list[str]:
+    """The leg table as text lines: the ``maturity,strike,weight`` header,
+    then one row per leg at full float precision (``repr``)."""
+    return ["maturity,strike,weight"] + [
+        f"{leg.maturity!r},{leg.strike!r},{leg.weight!r}" for leg in portfolio.legs
+    ]
+
+
 def portfolio_to_csv(portfolio: HedgePortfolio, path):
     """Serialize to the flat record format: ``key=value`` header comments
     (method tag, target descriptor, spot, b0) then one ``maturity,strike,
@@ -401,11 +415,8 @@ def portfolio_to_csv(portfolio: HedgePortfolio, path):
         f"# target_maturity={portfolio.target.maturity!r}",
         f"# spot={portfolio.spot!r}",
         f"# b0={portfolio.b0!r}",
-        "maturity,strike,weight",
     ]
-    lines.extend(
-        f"{leg.maturity!r},{leg.strike!r},{leg.weight!r}" for leg in portfolio.legs
-    )
+    lines.extend(leg_table(portfolio))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

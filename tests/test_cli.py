@@ -45,6 +45,11 @@ def test_build_subcommand_writes_portfolios(tmp_path, capsys):
     loaded = portfolio_from_csv(tmp_path / "portfolio_GQ2.csv")
     assert loaded.method_tag == "GQ2"
     assert len(loaded.legs) == 8
+    # stdout and the file share one leg-table format
+    table = [line for line in (tmp_path / "portfolio_GQ2.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    printed = out.split("[GQ2]")[1].splitlines()[1:1 + len(table)]
+    assert printed == table
 
 
 def test_sweep_subcommand_csv(tmp_path, capsys):

@@ -200,6 +200,71 @@ def test_sweep_with_simulation_builds_each_portfolio_once(monkeypatch):
     assert calls == {"build_cw_a": 2, "build_gq1": 2, "build_gq2": 2}
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+def _small_simulation(data, n_paths=8):
+    data["simulation"] = {"n_paths": n_paths, "seed": 5, "step": 1 / 252,
+                          "horizon": 21 / 252, "checkpoints": [10 / 252, 21 / 252]}
+    return data
+
+
+def test_band_sweep_simulates_and_delta_hedges_once(monkeypatch):
+    sims = _count_calls(monkeypatch, "simulate_paths")
+    delta_runs = _count_calls(monkeypatch, "delta_hedge_run")
+    data = _small_simulation(_base_config())
+    data["methods"] = [{"name": "DH"}, {"name": "GQ1", "n": 6}, {"name": "GQ2", "n": 6}]
+    data["bands"] = [{"maturity": 40 / 252, "lo": 80.0, "hi": 120.0},
+                     {"maturity": 21 / 252, "lo": 60.0, "hi": 120.0}]
+    data["sweep"] = {"variable": "band", "values": [
+        [{"lo": 80.0, "hi": 120.0}, {"lo": 60.0, "hi": 120.0}],
+        [{"lo": 85.0, "hi": 115.0}, {"lo": 60.0, "hi": 120.0}],
+        [{"lo": 90.0, "hi": 110.0}, {"lo": 50.0, "hi": 130.0}],
+    ]}
+    report = run_experiment(parse_config(data))
+    assert len(sims) == 1 and len(delta_runs) == 1
+    assert all(len(info["stats"]) == 2 for row in report.rows for info in row.methods.values())
+
+
+def test_lambda_sweep_simulates_once_per_value(monkeypatch):
+    sims = _count_calls(monkeypatch, "simulate_paths")
+    data = _small_simulation(_base_config())
+    data["model"] = {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14,
+                     "mu": 0.1, "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13}
+    data["methods"] = [{"name": "DH"}, {"name": "GQ1", "n": 6}]
+    data["sweep"] = {"variable": "lambda", "values": [0.5, 1.0, 2.0]}
+    run_experiment(parse_config(data))
+    assert [model.lam for model in sims] == [0.5, 1.0, 2.0]
+
+
+def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
+    # equal lambda values share one group; 3 paths split over up to 4 threads
+    data = _small_simulation(_base_config(), n_paths=3)
+    data["model"] = {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14,
+                     "mu": 0.1, "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13}
+    data["methods"] = [{"name": "DH"}, {"name": "CW_b", "n": 5}, {"name": "GQ1", "n": 6}]
+    data["bands"] = [{"maturity": 21 / 252, "lo": 80.0, "hi": 120.0}]
+    data["sweep"] = {"variable": "lambda", "values": [1.0, 2.0, 1.0]}
+    cfg = parse_config(data)
+    blobs = {json.dumps(run_experiment(cfg, threads=t).to_dict(), sort_keys=True)
+             for t in (1, 2, 4)}
+    assert len(blobs) == 1
+    report = json.loads(blobs.pop())
+    for value, row in zip(cfg.sweep.values, report["rows"]):
+        model, _, portfolios = experiments._value_context(cfg, value)
+        stats, _, _ = experiments.simulate_methods(cfg, model, portfolios)
+        assert {name: info["stats"] for name, info in row["methods"].items()} == stats
+
+
 def test_sweeping_into_the_maturity_guard_is_numerical_error():
     from statichedge import NumericalError
 

@@ -11,14 +11,36 @@ from statichedge import (
     OptionRef,
     SeriesError,
     annualized_variance,
+    call_marks,
     call_price,
     delta,
     put_price,
     strike_gamma_weight,
 )
+from statichedge import models
 from statichedge.models import mjd_series_terms
 
 from conftest import BS_TARGET_PRICE, MJD_TARGET_PRICE, MATURITY, SPOT, STRIKE, U1
+
+
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+def test_call_marks_are_bitwise_per_pair_prices(request, model_name, monkeypatch):
+    model = request.getfixturevalue(model_name)
+    # a small block forces several call_price blocks per maturity
+    monkeypatch.setattr(models, "MAX_BLOCK", 100)
+    spots = np.array([80.0, 100.0, 125.0])
+    pairs = [(k, T) for T in (U1, MATURITY) for k in (70.0, 90.0, 100.0, 110.0, 130.0)]
+    pairs.append((90.0, U1))
+    # at t = U1 the U1 calls are worth intrinsic value
+    for S, t in ((spots, 0.05), (SPOT, 0.0), (spots, U1), (SPOT, U1)):
+        marks = call_marks(model, S, t, pairs)
+        assert len(marks) == 10
+        for strike, maturity in pairs:
+            expected = call_price(model, S, t, strike, maturity)
+            assert np.array_equal(marks[strike, maturity], expected)
+            assert type(marks[strike, maturity]) is type(expected)
+    with pytest.raises(DomainError):
+        call_marks(model, SPOT, MATURITY, pairs)
 
 
 def test_bs_reference_price(bs_model):

@@ -7,19 +7,23 @@ from statichedge import (
     BsParams,
     MjdParams,
     OptionRef,
+    PathSet,
     SimConfig,
     SimulationError,
     StrikeBand,
     build_cw_b,
     build_gq1,
     build_gq2,
+    call_price,
     delta_hedge_run,
     pfe_curves,
     simulate_paths,
     static_hedge_run,
+    static_hedge_runs,
     summarize,
     write_errors_csv,
 )
+from statichedge.simulation import MAX_JUMPS_PER_STEP, _poisson_inverse
 
 from conftest import MATURITY, SPOT, STEP, STRIKE, U1_GRID, U2_GRID
 
@@ -153,6 +157,73 @@ def test_static_hedge_grid_checks(bs_model, target):
                         StrikeBand(U1_GRID * 0.6, 80.0, 120.0), 5)
     with pytest.raises(SimulationError, match="grid"):
         static_hedge_run(simulate_paths(bs_model, off_grid), shifted, bs_model)
+
+
+def _per_leg_walk(paths, portfolio, model):
+    """Reference hedge walk that prices every leg and the target with its
+    own ``call_price`` call at every grid time."""
+    times, S, r = paths.times, paths.values, model.r
+    target = portfolio.target
+    expiry = {m: round(m / (times[1] - times[0]))
+              for m in portfolio.maturities if m <= times[-1] + 1e-9}
+    errors = np.zeros_like(S)
+    cash = np.zeros(paths.n_paths)
+    for i, t in enumerate(times):
+        if i > 0:
+            cash = cash * math.exp(r * (t - times[i - 1]))
+            for leg in portfolio.legs:
+                if expiry.get(leg.maturity) == i:
+                    cash = cash + leg.weight * np.maximum(S[:, i] - leg.strike, 0.0)
+        hedge = portfolio.b0 * math.exp(r * t) + cash
+        for leg in portfolio.legs:
+            if expiry.get(leg.maturity, i + 1) > i:
+                hedge = hedge + leg.weight * call_price(model, S[:, i], t, leg.strike,
+                                                        leg.maturity)
+        marks = call_price(model, S[:, i], t, target.strike, target.maturity)
+        errors[:, i] = math.exp(-r * t) * (hedge - marks)
+    return errors
+
+
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+def test_shared_walk_is_bitwise_the_per_leg_walk(request, model_name, target):
+    model = request.getfixturevalue(model_name)
+    # GQ1's legs are GQ2's band-1 legs, so strikes are shared across
+    # portfolios; the band-2 legs expire on the grid inside the horizon.
+    portfolios = _standard_portfolios(model, target)
+    portfolios.append(build_gq2(model, target, SPOT, StrikeBand(U1_GRID, 70.0, 130.0),
+                                StrikeBand(U2_GRID, 60.0, 120.0), 8))
+    paths = simulate_paths(model, SimConfig(n_paths=200, seed=3, step=STEP,
+                                            horizon=24 * STEP, spot0=SPOT))
+    runs = static_hedge_runs(paths, portfolios, model)
+    for portfolio, errors in zip(portfolios, runs):
+        reference = _per_leg_walk(paths, portfolio, model)
+        assert np.array_equal(errors, reference)
+        assert np.array_equal(static_hedge_run(paths, portfolio, model), reference)
+    columns = [24, 21, 21, 0]
+    for full, kept in zip(runs, static_hedge_runs(paths, portfolios, model, columns)):
+        assert np.array_equal(kept, full[:, columns])
+    for rows in (slice(0, 77), slice(77, 200)):
+        block = PathSet(paths.times, paths.values[rows])
+        for full, part in zip(runs, static_hedge_runs(block, portfolios, model)):
+            assert np.array_equal(part, full[rows])
+
+
+@pytest.mark.parametrize("lam_h", [80.0, 800.0])
+def test_poisson_cap_overflow_raises(lam_h):
+    # exp(-800) underflows, so every draw would otherwise read 64 jumps; at
+    # lam * h = 80 most draws need more than 64 and would be truncated.
+    model = MjdParams(r=0.06, delta_yield=0.0, sigma=0.2, lam=lam_h / 0.01,
+                      mu_j=-0.01, sigma_j=0.01, mu=0.1)
+    cfg = SimConfig(n_paths=3, seed=1, step=0.01, horizon=0.02, spot0=SPOT)
+    with pytest.raises(SimulationError, match=f"lam \\* h = {lam_h:g};"):
+        simulate_paths(model, cfg)
+
+
+def test_poisson_inverse_reaches_the_cap_without_truncating():
+    # Poisson(64): cdf(63) = 0.483, cdf(64) = 0.533, cdf(65) = 0.582
+    assert _poisson_inverse(np.array([0.5]), 64.0).tolist() == [MAX_JUMPS_PER_STEP]
+    with pytest.raises(SimulationError, match="64-jump cap"):
+        _poisson_inverse(np.array([0.5, 0.56]), 64.0)
 
 
 def test_summarize_constant_and_symmetric_samples():

@@ -354,6 +354,23 @@ def test_portfolio_value_at_leg_maturity_is_intrinsic(bs_model, target):
     assert portfolio_value(portfolio, bs_model, 110.0, U1) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+def test_portfolio_value_is_bitwise_the_per_leg_sum(request, model_name, target):
+    model = request.getfixturevalue(model_name)
+    portfolio = build_gq2(model, target, SPOT, StrikeBand(U1, 80.0, 120.0),
+                          StrikeBand(U2, 60.0, 120.0), 12)
+    spots = np.array([70.0, 100.0, 130.0])
+    # at t = U2 the band-2 legs are valued at their maturity (intrinsic)
+    for S, t in ((SPOT, 0.0), (spots, 0.0), (110.0, U2), (spots, U2)):
+        expected = 0.0
+        for leg in portfolio.legs:
+            expected = expected + leg.weight * call_price(model, S, t, leg.strike,
+                                                          leg.maturity)
+        value = portfolio_value(portfolio, model, S, t)
+        assert np.array_equal(value, expected)
+        assert type(value) is type(expected)
+
+
 def test_edl_and_pdl():
     assert edl(13.5926277, 13.5926277) == 0.0
     assert pdl(-8.9, -8.3) == pytest.approx(6.7, abs=0.05)
