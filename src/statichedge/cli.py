@@ -32,6 +32,16 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statichedge",
@@ -49,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="experiment config file (JSON)")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--format", default="csv", choices=["csv", "json", "plot"])
-        cmd.add_argument("--threads", type=int, default=1)
+        cmd.add_argument("--threads", type=_positive_int, default=1)
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the simulation seed")
         if name == "simulate":
@@ -59,6 +69,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_seed(cfg, seed):
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed}")
     if seed is None or cfg.simulation is None:
         return cfg
     return replace(cfg, simulation=replace(cfg.simulation, seed=seed))
@@ -91,7 +103,7 @@ def _cmd_build(cfg, args):
 
 
 def _cmd_sweep(cfg, args):
-    report = run_experiment(cfg, threads=max(1, args.threads))
+    report = run_experiment(cfg, threads=args.threads)
     written = emit(report, args.format, args.out or ".")
     for path in written:
         print(path)
@@ -111,7 +123,7 @@ def _first_value_errors(cfg):
 
 def _cmd_simulate(cfg, args):
     _require_simulation(cfg)
-    report = run_experiment(cfg, threads=max(1, args.threads))
+    report = run_experiment(cfg, threads=args.threads)
     written = emit(report, "json" if args.format == "json" else "csv", args.out or ".")
     if getattr(args, "errors", False):
         out = Path(args.out or ".")

@@ -21,8 +21,8 @@ Config schema::
       "sweep":   {"variable": "quad_points"|"band"|"u1"|"u2"|"lambda"|"mu_j"|"sigma_j",
                   "values": [..], ["hold_variance": ..]},
       ["modified_weight": {"n_inner_gq": 5, "n_laguerre": 20}],
-      ["simulation": {"n_paths": .., "seed": .., "step": .., "horizon": ..,
-                      ["checkpoints": [..]]}]
+      ["simulation": {"n_paths": .. (>= 2), "seed": .. (>= 0), "step": .. (> 0),
+                      "horizon": .., ["checkpoints": [..]]}]
     }
 
 ``hold_variance`` recomputes the diffusion vol while sweeping a jump
@@ -269,6 +269,14 @@ def parse_config(data: dict) -> ExperimentConfig:
             horizon=horizon,
             checkpoints=tuple(float(c) for c in checkpoints),
         )
+        if sim.n_paths < 2:
+            raise ConfigError(
+                f"simulation.n_paths: must be >= 2 to summarize errors, got {sim.n_paths!r}"
+            )
+        if sim.seed < 0:
+            raise ConfigError(f"simulation.seed: must be >= 0, got {sim.seed!r}")
+        if sim.step <= 0:
+            raise ConfigError(f"simulation.step: must be > 0, got {sim.step!r}")
         if any(c > horizon + 1e-12 or c <= 0 for c in sim.checkpoints):
             raise ConfigError("simulation.checkpoints: must lie in (0, horizon]")
         # Statistics are read off the grid column round(c / step).
@@ -435,7 +443,7 @@ def _block_errors(cfg, model, paths, portfolios, columns, rows) -> list:
     block = PathSet(paths.times, paths.values[rows])
     errors = static_hedge_runs(block, portfolios, model, columns)
     if any(m.name == "DH" for m in cfg.methods):
-        errors.insert(0, delta_hedge_run(block, model, cfg.target)[:, columns])
+        errors.insert(0, delta_hedge_run(block, model, cfg.target, columns))
     return errors
 
 

@@ -46,7 +46,9 @@ PMF_CUTOFF = 1e-14
 MAX_TERMS = 180
 
 # Largest (spots x strikes x series terms) block that ``call_marks`` hands
-# to one ``call_price`` call; bigger blocks only raise peak memory.
+# to one ``call_price`` call, and largest block of uniforms that
+# ``simulation.simulate_paths`` transforms at once; bigger blocks only
+# raise peak memory.
 MAX_BLOCK = 2 ** 15
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

@@ -6,12 +6,17 @@ Poisson number of normal log-jumps per step).  Reproducibility contract:
 every path draws from its own substream spawned from ``(seed, path index)``,
 normals come from the inverse normal cdf applied to uniforms, and jump
 counts from Poisson inversion - so results are bit-identical across runs
-and independent of any outer parallelism.
+and independent of any outer parallelism.  Each path takes all its
+uniforms from its substream in one draw, in the fixed order diffusion,
+jump count, jump size; the transforms then run on blocks of paths as
+array operations, which gives every path bitwise the values a one-path-
+at-a-time loop computes.
 
 Hedge evolution marks everything under the risk-neutral parameters:
 
 * ``delta_hedge_run`` rebalances the stock hedge once per grid step using
-  the self-financing recursion.
+  the self-financing recursion, and marks the target only at the grid
+  times it returns.
 * ``static_hedge_runs`` holds any number of ``HedgePortfolio``s fixed on
   one path set, accrues each inception cash residual ``b0`` at the
   risk-free rate, and rolls matured legs' payoffs forward in the money
@@ -39,7 +44,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import SimulationError
-from .models import MjdParams, ModelSpec, OptionRef, call_marks, call_price, delta
+from .models import MAX_BLOCK, MjdParams, ModelSpec, OptionRef, call_marks, call_price, delta
 from .spanning import HedgePortfolio
 
 __all__ = [
@@ -139,6 +144,13 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
     single normal with mean ``N_k mu_j`` and variance ``N_k sigma_j^2``.
     With ``lam == 0`` the jump model consumes extra uniforms but produces
     bit-identical path values to the GBM simulator.
+
+    Path ``i`` draws all its uniforms in one call on its own substream:
+    the diffusion uniforms of every step, then (jump model) the Poisson
+    uniforms, then the jump-size uniforms.  The transforms run on blocks
+    of paths holding at most ``MAX_BLOCK`` uniforms (or one path), and
+    every step is elementwise or a per-row running sum, so each path is
+    bitwise the one a per-path loop computes.
     """
     n_steps = cfg.n_steps
     h = cfg.step
@@ -149,20 +161,25 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
         drift = (model.mu - model.delta_yield - model.lam * model.g
                  - 0.5 * model.sigma ** 2) * h
         lam_h = model.lam * h
+    draws = 3 if jump else 1
     values = np.empty((cfg.n_paths, n_steps + 1))
     values[:, 0] = cfg.spot0
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        z = ndtri(rng.random(n_steps))
-        log_increments = drift + model.sigma * sqrt_h * z
+    rows = max(1, MAX_BLOCK // (draws * n_steps))
+    for lo in range(0, cfg.n_paths, rows):
+        block = children[lo:lo + rows]
+        u = np.empty((len(block), draws, n_steps))
+        for child, out in zip(block, u):
+            np.random.Generator(np.random.PCG64(child)).random(out=out)
+        log_increments = drift + model.sigma * sqrt_h * ndtri(u[:, 0])
         if jump:
-            counts = _poisson_inverse(rng.random(n_steps), lam_h)
-            z_jump = ndtri(rng.random(n_steps))
+            counts = _poisson_inverse(u[:, 1], lam_h)
+            z_jump = ndtri(u[:, 2])
             log_increments = log_increments + (
                 counts * model.mu_j + model.sigma_j * np.sqrt(counts) * z_jump
             )
-        values[i, 1:] = cfg.spot0 * np.exp(np.cumsum(log_increments))
+        growth = np.exp(np.cumsum(log_increments, axis=1))
+        np.multiply(cfg.spot0, growth, out=values[lo:lo + len(block), 1:])
     times = np.arange(n_steps + 1) * h
     return PathSet(times, values)
 
@@ -175,27 +192,44 @@ def _check_horizon(times: np.ndarray, target: OptionRef):
         )
 
 
-def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef) -> np.ndarray:
+def _column_slots(times: np.ndarray, columns) -> tuple:
+    """Resolve the grid ``columns`` a hedge run returns (default: every grid
+    time) to ``(n_columns, {grid index: output positions})``."""
+    columns = range(len(times)) if columns is None else [int(c) for c in columns]
+    slots = {}
+    for j, c in enumerate(columns):
+        if not 0 <= c < len(times):
+            raise SimulationError(f"column {c!r} is outside the grid 0..{len(times) - 1}")
+        slots.setdefault(c, []).append(j)
+    return len(columns), slots
+
+
+def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
+                    columns=None) -> np.ndarray:
     """Discounted errors of a discretely rebalanced delta hedge.
 
     Self-financing recursion ``V_i = D_{i-1} S_i + (V_{i-1} - D_{i-1}
     S_{i-1}) e^{r h}`` started from the target price, with the greek and
     all marks under the risk-neutral parameters.  Returns an
-    (n_paths, N+1) matrix of ``e^{-r t_i} (V_i - C(S_i, t_i))``;
-    column 0 is identically zero.
+    (n_paths, len(columns)) matrix, column ``j`` holding ``e^{-r t_i} (V_i
+    - C(S_i, t_i))`` at grid index ``i = columns[j]`` (default: every grid
+    time); grid index 0 is identically zero.  The recursion runs at every
+    step, but the target is marked only at the returned grid times.
     """
     times = paths.times
     _check_horizon(times, target)
+    n_columns, slots = _column_slots(times, columns)
     r = model.r
     S = paths.values
-    errors = np.zeros_like(S)
+    errors = np.zeros((paths.n_paths, n_columns))
     V = np.full(paths.n_paths, call_price(model, S[0, 0], 0.0, target.strike, target.maturity))
     for i in range(1, len(times)):
         h = times[i] - times[i - 1]
         d_prev = delta(model, S[:, i - 1], times[i - 1], target.strike, target.maturity)
         V = d_prev * S[:, i] + (V - d_prev * S[:, i - 1]) * math.exp(r * h)
-        marks = call_price(model, S[:, i], times[i], target.strike, target.maturity)
-        errors[:, i] = math.exp(-r * times[i]) * (V - marks)
+        if i in slots:
+            marks = call_price(model, S[:, i], times[i], target.strike, target.maturity)
+            errors[:, slots[i]] = (math.exp(-r * times[i]) * (V - marks))[:, None]
     return errors
 
 
@@ -236,13 +270,10 @@ def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None
     """
     times = paths.times
     expiries = [_leg_expiries(times, p) for p in portfolios]
-    columns = range(len(times)) if columns is None else [int(c) for c in columns]
-    slots = {}
-    for j, c in enumerate(columns):
-        slots.setdefault(c, []).append(j)
+    n_columns, slots = _column_slots(times, columns)
     r = model.r
     S = paths.values
-    out = [np.zeros((paths.n_paths, len(columns))) for _ in portfolios]
+    out = [np.zeros((paths.n_paths, n_columns)) for _ in portfolios]
     matured = [np.zeros(paths.n_paths) for _ in portfolios]
     for i, t in enumerate(times):
         if i > 0:

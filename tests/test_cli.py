@@ -115,6 +115,33 @@ def test_exit_code_for_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", 0.0), ("step", -1 / 252), ("seed", -1), ("n_paths", 1),
+])
+def test_bad_simulation_block_is_config_error(tmp_path, capsys, field, value):
+    data = _small_sim_config()
+    data["simulation"][field] = value
+    cfg = _write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"config error: simulation.{field}: must be" in capsys.readouterr().err
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _small_sim_config())
+    args = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--seed", "-5"]
+    assert main(args) == 2
+    assert "config error: --seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_rejected(tmp_path, capsys, threads):
+    cfg = _write_config(tmp_path, _small_sim_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
+
+
 def test_exit_code_for_numerical_failure(tmp_path, capsys):
     data = {
         "model": {"type": "bs", "r": 0.06, "delta_yield": 0.0, "sigma": 0.27, "mu": 0.1},

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from statichedge import (
     BsParams,
@@ -23,6 +25,8 @@ from statichedge import (
     summarize,
     write_errors_csv,
 )
+from statichedge import simulation
+from statichedge.models import MAX_BLOCK
 from statichedge.simulation import MAX_JUMPS_PER_STEP, _poisson_inverse
 
 from conftest import MATURITY, SPOT, STEP, STRIKE, U1_GRID, U2_GRID
@@ -72,6 +76,47 @@ def test_mjd_lam_zero_equals_bs_paths(bs_model):
                           simulate_paths(bs_model, cfg).values)
 
 
+def _per_path_paths(model, cfg):
+    """Reference simulator: one path at a time, three successive uniform
+    draws of ``n_steps`` each on the path's own substream."""
+    n_steps, h = cfg.n_steps, cfg.step
+    sqrt_h = math.sqrt(h)
+    jump = isinstance(model, MjdParams)
+    drift = (model.mu - model.delta_yield - 0.5 * model.sigma ** 2) * h
+    if jump:
+        drift = (model.mu - model.delta_yield - model.lam * model.g
+                 - 0.5 * model.sigma ** 2) * h
+    values = np.empty((cfg.n_paths, n_steps + 1))
+    values[:, 0] = cfg.spot0
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        log_increments = drift + model.sigma * sqrt_h * ndtri(rng.random(n_steps))
+        if jump:
+            counts = _poisson_inverse(rng.random(n_steps), model.lam * h)
+            z_jump = ndtri(rng.random(n_steps))
+            log_increments = log_increments + (
+                counts * model.mu_j + model.sigma_j * np.sqrt(counts) * z_jump
+            )
+        values[i, 1:] = cfg.spot0 * np.exp(np.cumsum(log_increments))
+    return values
+
+
+@pytest.mark.parametrize("model_name", ["bs", "mjd", "mjd_lam0"])
+def test_block_simulation_is_bitwise_the_per_path_loop(model_name, bs_model, mjd_model):
+    model = {"bs": bs_model, "mjd": mjd_model,
+             "mjd_lam0": MjdParams(r=0.06, delta_yield=0.0, sigma=0.27,
+                                   lam=0.0, mu_j=-0.1, sigma_j=0.13, mu=0.1)}[model_name]
+    # 300 paths x 252 steps: 3 blocks of paths for GBM, 7 for the jump model
+    cfg = SimConfig(n_paths=300, seed=1234, step=STEP, horizon=252 * STEP, spot0=SPOT)
+    draws = 3 if isinstance(model, MjdParams) else 1
+    assert cfg.n_paths * draws * cfg.n_steps > 2 * MAX_BLOCK
+    assert np.array_equal(simulate_paths(model, cfg).values, _per_path_paths(model, cfg))
+    # one path per block when a single path holds more than MAX_BLOCK uniforms
+    long = SimConfig(n_paths=2, seed=5, step=1e-4, horizon=MAX_BLOCK * 1e-4 + 0.1,
+                     spot0=SPOT)
+    assert np.array_equal(simulate_paths(model, long).values, _per_path_paths(model, long))
+
+
 @pytest.mark.parametrize("model_name", ["bs", "mjd"])
 def test_terminal_mean_matches_carry_drift(model_name, bs_model, mjd_model):
     model = bs_model if model_name == "bs" else mjd_model
@@ -112,6 +157,46 @@ def test_delta_hedge_horizon_check(bs_model, target):
     cfg = SimConfig(n_paths=4, seed=1, step=0.25, horizon=1.0, spot0=SPOT)
     with pytest.raises(SimulationError):
         delta_hedge_run(simulate_paths(bs_model, cfg), bs_model, target)
+
+
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+def test_delta_hedge_columns_are_bitwise_the_full_run(request, model_name, target):
+    model = request.getfixturevalue(model_name)
+    paths = simulate_paths(model, SimConfig(n_paths=60, seed=12, step=STEP,
+                                            horizon=U2_GRID, spot0=SPOT))
+    full = delta_hedge_run(paths, model, target)
+    for columns in ([0], [21], [21, 3, 3, 0, 14]):
+        assert np.array_equal(delta_hedge_run(paths, model, target, columns),
+                              full[:, columns])
+    for rows in (slice(0, 17), slice(17, 60)):
+        block = PathSet(paths.times, paths.values[rows])
+        assert np.array_equal(delta_hedge_run(block, model, target, [21, 3]),
+                              full[rows][:, [21, 3]])
+
+
+def test_delta_hedge_marks_only_the_kept_columns(monkeypatch, bs_model, target):
+    calls = []
+
+    def counting_call_price(*args):
+        calls.append(args[2])
+        return call_price(*args)
+
+    monkeypatch.setattr(simulation, "call_price", counting_call_price)
+    paths = simulate_paths(bs_model, SimConfig(n_paths=8, seed=2, step=STEP,
+                                               horizon=U2_GRID, spot0=SPOT))
+    delta_hedge_run(paths, bs_model, target, [14])
+    assert calls == [0.0, paths.times[14]]
+
+
+def test_hedge_runs_reject_columns_off_the_grid(bs_model, target):
+    paths = simulate_paths(bs_model, SimConfig(n_paths=4, seed=2, step=STEP,
+                                               horizon=U2_GRID, spot0=SPOT))
+    portfolio = _standard_portfolios(bs_model, target)[2]
+    for columns in ([22], [-1]):
+        with pytest.raises(SimulationError, match="outside the grid"):
+            delta_hedge_run(paths, bs_model, target, columns)
+        with pytest.raises(SimulationError, match="outside the grid"):
+            static_hedge_runs(paths, [portfolio], bs_model, columns)
 
 
 def _standard_portfolios(model, target):
@@ -217,6 +302,19 @@ def test_poisson_cap_overflow_raises(lam_h):
     cfg = SimConfig(n_paths=3, seed=1, step=0.01, horizon=0.02, spot0=SPOT)
     with pytest.raises(SimulationError, match=f"lam \\* h = {lam_h:g};"):
         simulate_paths(model, cfg)
+
+
+def test_poisson_cap_first_hit_in_a_later_block_raises():
+    # lam * h = 40: P(N > 64) = 1.7e-4 per draw.  With seed 3 the first
+    # draw past the cap falls on path 25, two blocks after the first one.
+    model = MjdParams(r=0.06, delta_yield=0.0, sigma=0.2, lam=4000.0,
+                      mu_j=-0.01, sigma_j=0.01, mu=0.1)
+    first_bad = 25
+    assert MAX_BLOCK // (3 * 1000) < first_bad
+    clean = SimConfig(n_paths=first_bad, seed=3, step=0.01, horizon=10.0, spot0=SPOT)
+    assert np.all(np.isfinite(simulate_paths(model, clean).values))
+    with pytest.raises(SimulationError, match="lam \\* h = 40;"):
+        simulate_paths(model, replace(clean, n_paths=first_bad + 1))
 
 
 def test_poisson_inverse_reaches_the_cap_without_truncating():
