@@ -116,9 +116,8 @@ def _require_simulation(cfg):
 
 
 def _first_value_errors(cfg):
-    model, _, portfolios = _value_context(cfg, cfg.sweep.values[0])
-    _, errors, paths = simulate_methods(cfg, model, portfolios)
-    return errors, paths
+    """Error matrices of the first sweep value at every grid time."""
+    return simulate_methods(cfg, [_value_context(cfg, cfg.sweep.values[0])])[0]
 
 
 def _cmd_simulate(cfg, args):
@@ -127,10 +126,9 @@ def _cmd_simulate(cfg, args):
     written = emit(report, "json" if args.format == "json" else "csv", args.out or ".")
     if getattr(args, "errors", False):
         out = Path(args.out or ".")
-        errors, paths = _first_value_errors(cfg)
-        for name, matrix in errors.items():
+        for name, matrix in _first_value_errors(cfg).items():
             path = out / f"errors_{name}.csv"
-            write_errors_csv(path, paths.times, matrix)
+            write_errors_csv(path, cfg.simulation.times, matrix)
             written.append(path)
     for path in written:
         print(path)
@@ -139,7 +137,7 @@ def _cmd_simulate(cfg, args):
 
 def _cmd_pfe(cfg, args):
     _require_simulation(cfg)
-    errors, paths = _first_value_errors(cfg)
+    errors = _first_value_errors(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "pfe.csv"
@@ -148,7 +146,7 @@ def _cmd_pfe(cfg, args):
         header = ["time"] + [f"{name}_p{level}" for name in names for level in (95, 5)]
         fh.write(",".join(header) + "\n")
         curves = {name: pfe_curves(errors[name]) for name in names}
-        for i, t in enumerate(paths.times):
+        for i, t in enumerate(cfg.simulation.times):
             cells = [repr(float(t))]
             for name in names:
                 cells.append(repr(float(curves[name][95][i])))

@@ -15,7 +15,7 @@ Config schema::
     {
       "model":   {"type": "bs"|"mjd", "r": .., "delta_yield": .., "sigma": ..,
                   "mu": .., ["lam": .., "mu_j": .., "sigma_j": ..]},
-      "target":  {"strike": .., "maturity": .., "spot": ..},
+      "target":  {"strike": .., "maturity": .., "spot": .., ["kind": "call"]},
       "methods": [{"name": "CW_a"|"CW_b"|"GQ1"|"GQ2"|"GQn"|"DH", ["n": ..]}, ...],
       "bands":   [{"maturity": .., "lo": .., "hi": ..}, ...],   # descending maturity
       "sweep":   {"variable": "quad_points"|"band"|"u1"|"u2"|"lambda"|"mu_j"|"sigma_j",
@@ -26,7 +26,12 @@ Config schema::
     }
 
 ``hold_variance`` recomputes the diffusion vol while sweeping a jump
-parameter so the total annualized return variance stays fixed.
+parameter so the total annualized return variance stays fixed.  Only call
+targets are supported.  ``parse_config`` builds the simulation block's
+``SimConfig`` itself (``spot0`` is the target spot); the horizon and the
+checkpoints, in ``(0, horizon]``, must lie on its step grid
+(``simulation.grid_index``).  Bad input, sweep values included, raises a
+``ConfigError`` naming the field.
 """
 from __future__ import annotations
 
@@ -42,12 +47,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SpanningError, UndefinedPdlError
+from .errors import ConfigError, SimulationError, SpanningError, UndefinedPdlError
 from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, OptionRef
 from .simulation import (
     PathSet,
     SimConfig,
     delta_hedge_run,
+    grid_index,
     simulate_paths,
     static_hedge_runs,
     summarize,
@@ -69,7 +75,6 @@ __all__ = [
     "ExperimentConfig",
     "MethodSpec",
     "SweepSpec",
-    "SimulationSettings",
     "Report",
     "ReportRow",
     "load_config",
@@ -98,15 +103,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SimulationSettings:
-    n_paths: int
-    seed: int
-    step: float
-    horizon: float
-    checkpoints: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     model: BsParams | MjdParams
     target: OptionRef
@@ -115,11 +111,14 @@ class ExperimentConfig:
     bands: tuple[StrikeBand, ...]
     sweep: SweepSpec
     modified_weight: ModifiedWeightConfig
-    simulation: SimulationSettings | None
+    simulation: SimConfig | None
+    checkpoints: tuple[float, ...]
     raw: dict
 
 
 def _get(section: dict, path: str, key: str, kind, required=True, default=None):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
     if key not in section:
         if required:
             raise ConfigError(f"{path}.{key}: missing required field")
@@ -141,8 +140,6 @@ def _get(section: dict, path: str, key: str, kind, required=True, default=None):
 
 
 def _parse_model(section, path="model"):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
     kind = _get(section, path, "type", str)
     common = dict(
         r=_get(section, path, "r", float),
@@ -166,8 +163,6 @@ def _parse_model(section, path="model"):
 
 
 def _parse_band(section, path):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
     try:
         return StrikeBand(
             maturity=_get(section, path, "maturity", float),
@@ -191,12 +186,12 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("config root: expected an object")
     model = _parse_model(data.get("model", {}))
     tsec = data.get("target", {})
+    kind = _get(tsec, "target", "kind", str, required=False, default="call")
+    if kind != "call":
+        raise ConfigError(f"target.kind: only 'call' targets are supported, got {kind!r}")
     try:
-        target = OptionRef(
-            strike=_get(tsec, "target", "strike", float),
-            maturity=_get(tsec, "target", "maturity", float),
-            kind=_get(tsec, "target", "kind", str, required=False, default="call"),
-        )
+        target = OptionRef(strike=_get(tsec, "target", "strike", float),
+                           maturity=_get(tsec, "target", "maturity", float))
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
     spot = _get(tsec, "target", "spot", float)
@@ -255,36 +250,31 @@ def parse_config(data: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"modified_weight: {exc}") from exc
 
-    sim = None
+    sim, checkpoints = None, ()
     if "simulation" in data:
         sisec = data["simulation"]
         horizon = _get(sisec, "simulation", "horizon", float)
-        checkpoints = sisec.get("checkpoints", [horizon])
-        if not isinstance(checkpoints, list) or not checkpoints:
-            raise ConfigError("simulation.checkpoints: must be a non-empty list")
-        sim = SimulationSettings(
-            n_paths=_get(sisec, "simulation", "n_paths", int),
-            seed=_get(sisec, "simulation", "seed", int),
-            step=_get(sisec, "simulation", "step", float),
-            horizon=horizon,
-            checkpoints=tuple(float(c) for c in checkpoints),
-        )
-        if sim.n_paths < 2:
+        n_paths = _get(sisec, "simulation", "n_paths", int)
+        if n_paths < 2:
             raise ConfigError(
-                f"simulation.n_paths: must be >= 2 to summarize errors, got {sim.n_paths!r}"
+                f"simulation.n_paths: must be >= 2 to summarize errors, got {n_paths!r}"
             )
-        if sim.seed < 0:
-            raise ConfigError(f"simulation.seed: must be >= 0, got {sim.seed!r}")
-        if sim.step <= 0:
-            raise ConfigError(f"simulation.step: must be > 0, got {sim.step!r}")
-        if any(c > horizon + 1e-12 or c <= 0 for c in sim.checkpoints):
+        raw_checkpoints = sisec.get("checkpoints", [horizon])
+        if not isinstance(raw_checkpoints, list) or not raw_checkpoints:
+            raise ConfigError("simulation.checkpoints: must be a non-empty list")
+        checkpoints = tuple(_get({"checkpoints": c}, "simulation", "checkpoints", float)
+                            for c in raw_checkpoints)
+        if any(c > horizon + 1e-12 or c <= 0 for c in checkpoints):
             raise ConfigError("simulation.checkpoints: must lie in (0, horizon]")
-        # Statistics are read off the grid column round(c / step).
-        for c in sim.checkpoints:
-            if abs(round(c / sim.step) * sim.step - c) > 1e-9:
-                raise ConfigError(
-                    f"simulation.checkpoints: {c!r} is not on the step grid"
-                )
+        try:
+            sim = SimConfig(n_paths=n_paths, seed=_get(sisec, "simulation", "seed", int),
+                            step=_get(sisec, "simulation", "step", float),
+                            horizon=horizon, spot0=spot)
+            # Statistics are read off the grid column of each checkpoint.
+            for c in checkpoints:
+                grid_index("checkpoints", c, sim.step)
+        except SimulationError as exc:
+            raise ConfigError(f"simulation.{exc}") from exc
 
     needs_bands = {"CW_a", "CW_b", "GQ1", "GQ2", "GQn"}
     for i, m in enumerate(methods):
@@ -297,7 +287,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if m.name == "DH" and sim is None:
             raise ConfigError(f"methods[{i}]: DH requires a simulation block")
     return ExperimentConfig(
-        model, target, spot, tuple(methods), bands, sweep, mw_cfg, sim, data
+        model, target, spot, tuple(methods), bands, sweep, mw_cfg, sim, checkpoints, data
     )
 
 
@@ -350,7 +340,7 @@ def _value_context(cfg: ExperimentConfig, value):
     orders = {m.name: m.n for m in cfg.methods}
     var = cfg.sweep.variable
     if var == "quad_points":
-        n = _get({"n": value}, "sweep.values", "n", int)
+        n = _get({"values": value}, "sweep", "values", int)
         if n < 1:
             raise ConfigError(f"sweep.values: quad_points must be >= 1, got {value!r}")
         orders = {name: (n if name in _ORDERED_METHODS else existing)
@@ -362,17 +352,21 @@ def _value_context(cfg: ExperimentConfig, value):
             )
         new = []
         for i, (entry, base) in enumerate(zip(value, bands)):
-            entry = dict(entry) if isinstance(entry, dict) else {}
-            entry.setdefault("maturity", base.maturity)
+            entry = {"maturity": base.maturity, **entry} if isinstance(entry, dict) else entry
             new.append(_parse_band(entry, f"sweep.values[..][{i}]"))
         bands = new
-    elif var == "u1":
-        bands[0] = StrikeBand(float(value), bands[0].lo, bands[0].hi)
-    elif var == "u2":
-        bands[1] = StrikeBand(float(value), bands[1].lo, bands[1].hi)
-    elif var in _JUMP_FIELDS:
-        model = replace(model, **{_JUMP_FIELDS[var]: float(value)})
-        if cfg.sweep.hold_variance is not None:
+    else:
+        x = _get({"values": value}, "sweep", "values", float)
+        try:
+            if var == "u1":
+                bands[0] = StrikeBand(x, bands[0].lo, bands[0].hi)
+            elif var == "u2":
+                bands[1] = StrikeBand(x, bands[1].lo, bands[1].hi)
+            else:
+                model = replace(model, **{_JUMP_FIELDS[var]: x})
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values: {exc}") from exc
+        if var in _JUMP_FIELDS and cfg.sweep.hold_variance is not None:
             resid = cfg.sweep.hold_variance - model.lam * (model.mu_j ** 2 + model.sigma_j ** 2)
             if resid <= 0:
                 raise ConfigError(
@@ -401,42 +395,6 @@ def _build_portfolio(name, model, cfg, bands, orders):
     raise ConfigError(f"method {name!r} does not build a static portfolio")
 
 
-def _sim_config(cfg: ExperimentConfig) -> SimConfig:
-    sim = cfg.simulation
-    return SimConfig(n_paths=sim.n_paths, seed=sim.seed, step=sim.step,
-                     horizon=sim.horizon, spot0=cfg.spot)
-
-
-def _checkpoint_columns(sim: SimulationSettings) -> list:
-    # Statistics are read off the grid column round(c / step).
-    return [round(c / sim.step) for c in sim.checkpoints]
-
-
-def _checkpoint_stats(sim: SimulationSettings, errors: np.ndarray) -> list:
-    """Statistics per checkpoint; ``errors[:, j]`` holds the errors at
-    ``sim.checkpoints[j]``."""
-    return [{"time": c, **summarize(errors[:, j]).to_dict()}
-            for j, c in enumerate(sim.checkpoints)]
-
-
-def simulate_methods(cfg: ExperimentConfig, model, portfolios):
-    """Run the simulation block for one resolved context, holding the
-    static ``portfolios`` (by method name) that ``_value_context`` built.
-
-    Returns ``(stats, errors, paths)``: per-method checkpoint statistics
-    and the raw discounted error matrices, all evaluated on one shared
-    path set (common random numbers across methods) and one static walk.
-    """
-    paths = simulate_paths(model, _sim_config(cfg))
-    static = dict(zip(portfolios, static_hedge_runs(paths, list(portfolios.values()), model)))
-    errors = {m.name: delta_hedge_run(paths, model, cfg.target) if m.name == "DH"
-              else static[m.name] for m in cfg.methods}
-    columns = _checkpoint_columns(cfg.simulation)
-    stats = {name: _checkpoint_stats(cfg.simulation, err[:, columns])
-             for name, err in errors.items()}
-    return stats, errors, paths
-
-
 def _block_errors(cfg, model, paths, portfolios, columns, rows) -> list:
     """Errors at the grid ``columns`` on the paths ``rows``: the delta
     hedge's (when DH is configured), then each portfolio's."""
@@ -447,24 +405,28 @@ def _block_errors(cfg, model, paths, portfolios, columns, rows) -> list:
     return errors
 
 
-def _sweep_stats(cfg: ExperimentConfig, contexts, pmap, n_blocks: int) -> list:
-    """Checkpoint statistics for every resolved sweep value, by method.
+def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, pmap=map,
+                     n_blocks: int = 1) -> list:
+    """Hedge errors of every method for each resolved sweep value.
+
+    ``contexts`` holds ``_value_context`` results.  Returns one ``{method
+    name: (n_paths, len(columns)) error matrix}`` per context, at the grid
+    ``columns`` (default: every grid time of ``cfg.simulation``).
 
     Values whose resolved models are equal (every value of a band, order,
     ``u1`` or ``u2`` sweep) form one group: one path set, one delta hedge
-    and one static walk over all the group's portfolios, keeping only the
-    checkpoint columns.  Both hedge runs go through ``pmap`` on
-    ``n_blocks`` contiguous blocks of paths; they are elementwise across
-    paths, so the result does not depend on the block count.
+    and one static walk over all the group's portfolios, so every method
+    and value of a group sees the same paths (common random numbers).
+    Both hedge runs go through ``pmap`` on ``n_blocks`` contiguous blocks
+    of paths; they are elementwise across paths, so the result does not
+    depend on the block count.
     """
-    sim = cfg.simulation
-    columns = _checkpoint_columns(sim)
     groups = {}
     for index, (model, _, _) in enumerate(contexts):
         groups.setdefault(model, []).append(index)
-    stats = [None] * len(contexts)
+    out = [None] * len(contexts)
     for model, indices in groups.items():
-        paths = simulate_paths(model, _sim_config(cfg))
+        paths = simulate_paths(model, cfg.simulation)
         portfolios = [p for i in indices for p in contexts[i][2].values()]
         n = paths.n_paths
         k = min(n_blocks, n)
@@ -474,9 +436,8 @@ def _sweep_stats(cfg: ExperimentConfig, contexts, pmap, n_blocks: int) -> list:
         dh = next(errors) if any(m.name == "DH" for m in cfg.methods) else None
         for i in indices:
             static = {name: next(errors) for name in contexts[i][2]}
-            stats[i] = {m.name: _checkpoint_stats(sim, dh if m.name == "DH" else static[m.name])
-                        for m in cfg.methods}
-    return stats
+            out[i] = {m.name: dh if m.name == "DH" else static[m.name] for m in cfg.methods}
+    return out
 
 
 def _inception_row(cfg: ExperimentConfig, value, orders, portfolios) -> ReportRow:
@@ -505,8 +466,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
     the result is independent of ``threads``.
 
     Every value is resolved and built first (in parallel over values);
-    the simulation block then runs once per group of values sharing a
-    resolved model, in parallel over blocks of paths.
+    ``simulate_methods`` then hedges every value at the checkpoint
+    columns, in parallel over blocks of paths.
     """
     values = list(cfg.sweep.values)
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
@@ -515,9 +476,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
         rows = [_inception_row(cfg, value, orders, portfolios)
                 for value, (_, orders, portfolios) in zip(values, contexts)]
         if cfg.simulation is not None:
-            for row, stats in zip(rows, _sweep_stats(cfg, contexts, pmap, threads)):
-                for name, stat_rows in stats.items():
-                    row.methods.setdefault(name, {})["stats"] = stat_rows
+            columns = [grid_index("checkpoints", c, cfg.simulation.step)
+                       for c in cfg.checkpoints]
+            for row, errors in zip(rows, simulate_methods(cfg, contexts, columns, pmap, threads)):
+                for name, matrix in errors.items():
+                    row.methods.setdefault(name, {})["stats"] = [
+                        {"time": c, **summarize(matrix[:, j]).to_dict()}
+                        for j, c in enumerate(cfg.checkpoints)]
     metadata = {
         "package": "statichedge",
         "version": __version__,

@@ -33,6 +33,11 @@ Errors are discounted (hedge minus target) and are exactly zero at time 0
 for every static portfolio, since ``b0`` absorbs the inception gap.  Both
 hedge runs are elementwise across paths, so running them on a block of
 paths gives those rows of the full run to the bit.
+
+The grid is ``SimConfig.times``, shared by ``simulate_paths`` and the CLI
+writers.  ``grid_index`` is the one on-grid rule (within ``1e-9`` of a
+multiple of ``step``) for the horizon, leg maturities and the checkpoints
+of the experiment config, which builds its ``SimConfig`` itself.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ from .spanning import HedgePortfolio
 __all__ = [
     "SimConfig",
     "PathSet",
+    "grid_index",
     "HedgeErrorStats",
     "simulate_paths",
     "delta_hedge_run",
@@ -68,9 +74,20 @@ MAX_JUMPS_PER_STEP = 64
 _GRID_TOL = 1e-9
 
 
+def grid_index(name: str, t: float, step: float) -> int:
+    """Index of the grid time ``t`` on a grid of spacing ``step``: the
+    multiple of ``step`` within ``1e-9`` of ``t``.  Raises
+    ``SimulationError`` naming ``name`` when there is none."""
+    i = round(t / step)
+    if abs(i * step - t) > _GRID_TOL:
+        raise SimulationError(f"{name}: {t!r} is not on the step grid (step {step!r})")
+    return i
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation grid: ``n_paths`` paths of ``horizon / step`` exact steps."""
+    """Simulation grid: ``n_paths`` paths of ``horizon / step`` exact steps.
+    Errors name the bad field, e.g. ``step: must be > 0, got 0.0``."""
 
     n_paths: int
     seed: int
@@ -80,21 +97,24 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_paths < 1:
-            raise SimulationError(f"n_paths must be >= 1, got {self.n_paths!r}")
+            raise SimulationError(f"n_paths: must be >= 1, got {self.n_paths!r}")
+        if self.seed < 0:
+            raise SimulationError(f"seed: must be >= 0, got {self.seed!r}")
         if self.step <= 0.0:
-            raise SimulationError(f"step must be > 0, got {self.step!r}")
+            raise SimulationError(f"step: must be > 0, got {self.step!r}")
         if self.spot0 <= 0.0:
-            raise SimulationError(f"spot0 must be > 0, got {self.spot0!r}")
-        n = round(self.horizon / self.step)
-        if n < 1 or abs(n * self.step - self.horizon) > 1e-12:
-            raise SimulationError(
-                f"horizon {self.horizon!r} is not an integer multiple of "
-                f"step {self.step!r}"
-            )
+            raise SimulationError(f"spot0: must be > 0, got {self.spot0!r}")
+        if grid_index("horizon", self.horizon, self.step) < 1:
+            raise SimulationError(f"horizon: must be at least one step, got {self.horizon!r}")
 
     @property
     def n_steps(self) -> int:
         return round(self.horizon / self.step)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid times ``0, step, ..., n_steps * step``."""
+        return np.arange(self.n_steps + 1) * self.step
 
 
 @dataclass(frozen=True)
@@ -180,8 +200,7 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
             )
         growth = np.exp(np.cumsum(log_increments, axis=1))
         np.multiply(cfg.spot0, growth, out=values[lo:lo + len(block), 1:])
-    times = np.arange(n_steps + 1) * h
-    return PathSet(times, values)
+    return PathSet(cfg.times, values)
 
 
 def _check_horizon(times: np.ndarray, target: OptionRef):
@@ -233,15 +252,6 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
     return errors
 
 
-def _grid_index(times: np.ndarray, maturity: float) -> int:
-    idx = int(round(maturity / (times[1] - times[0]))) if len(times) > 1 else 0
-    if idx >= len(times) or abs(times[idx] - maturity) > _GRID_TOL:
-        raise SimulationError(
-            f"leg maturity {maturity!r} does not lie on the simulation grid"
-        )
-    return idx
-
-
 def _leg_expiries(times: np.ndarray, portfolio: HedgePortfolio) -> list:
     """Check ``portfolio`` against the grid; return each leg's expiry grid
     index, or None for a leg that outlives the horizon."""
@@ -252,7 +262,8 @@ def _leg_expiries(times: np.ndarray, portfolio: HedgePortfolio) -> list:
     # Legs expiring after the horizon stay alive for the whole run; legs
     # expiring inside it must sit on the grid so their payoff is observed.
     maturity_index = {
-        m: _grid_index(times, m) for m in leg_maturities if m <= times[-1] + _GRID_TOL
+        m: grid_index("leg maturity", m, times[1] - times[0])
+        for m in leg_maturities if m <= times[-1] + _GRID_TOL
     }
     return [maturity_index.get(leg.maturity) for leg in portfolio.legs]
 

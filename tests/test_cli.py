@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statichedge import portfolio_from_csv
 from statichedge.cli import main
@@ -126,6 +132,15 @@ def test_bad_simulation_block_is_config_error(tmp_path, capsys, field, value):
     assert f"config error: simulation.{field}: must be" in capsys.readouterr().err
 
 
+def test_off_grid_horizon_is_config_error(tmp_path, capsys):
+    data = _small_sim_config()
+    data["simulation"].update(step=0.03, horizon=0.1)
+    cfg = _write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error: simulation.horizon: 0.1 is not on the step grid" in (
+        capsys.readouterr().err)
+
+
 def test_negative_seed_override_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, _small_sim_config())
     args = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--seed", "-5"]
@@ -157,10 +172,76 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH")])
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "statichedge", "price",
          "--config", str(CONFIG_DIR / "table6.cfg")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("target_price=11.98825250")
+
+
+def _fuzz_bases():
+    """Small valid configs (4 paths of 10 steps), one per sweep variable."""
+    bs = {
+        "model": {"type": "bs", "r": 0.06, "delta_yield": 0.0, "sigma": 0.27, "mu": 0.1},
+        "target": {"strike": 100.0, "maturity": 1.0, "spot": 100.0, "kind": "call"},
+        "methods": [{"name": "DH"}, {"name": "CW_a"}, {"name": "GQ1", "n": 4},
+                    {"name": "GQ2", "n": 4}],
+        "bands": [{"maturity": 40 / 252, "lo": 80.0, "hi": 120.0},
+                  {"maturity": 21 / 252, "lo": 60.0, "hi": 120.0}],
+        "modified_weight": {"n_inner_gq": 5, "n_laguerre": 20},
+        "simulation": {"n_paths": 4, "seed": 5, "step": 1 / 252, "horizon": 10 / 252,
+                       "checkpoints": [5 / 252, 10 / 252]},
+    }
+    mjd = dict(bs, model={"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14,
+                          "mu": 0.1, "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13})
+    sweeps = [
+        (bs, {"variable": "quad_points", "values": [4]}),
+        (bs, {"variable": "band",
+              "values": [[{"lo": 85.0, "hi": 115.0}, {"lo": 60.0, "hi": 120.0}]]}),
+        (bs, {"variable": "u1", "values": [40 / 252]}),
+        (bs, {"variable": "u2", "values": [21 / 252]}),
+        (mjd, {"variable": "lambda", "values": [1.0], "hold_variance": 0.05}),
+        (mjd, {"variable": "mu_j", "values": [-0.1]}),
+        (mjd, {"variable": "sigma_j", "values": [0.13]}),
+    ]
+    return [copy.deepcopy(dict(base, sweep=sweep)) for base, sweep in sweeps]
+
+
+def _field_paths(node, path=()):
+    """Every key path into ``node``: sections, list entries and leaves."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+_FUZZ_BASES = _fuzz_bases()
+_FUZZ_FIELDS = [(i, path) for i, base in enumerate(_FUZZ_BASES) for path in _field_paths(base)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(_FUZZ_FIELDS),
+       value=st.sampled_from([None, "x", -1, 0, 0.5, True, [], {}]))
+def test_malformed_config_field_exits_with_a_package_code(field, value):
+    index, path = field
+    data = copy.deepcopy(_FUZZ_BASES[index])
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(Path(tmp), data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)

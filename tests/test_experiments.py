@@ -13,6 +13,7 @@ from statichedge.experiments import (
     parse_config,
     run_experiment,
 )
+from statichedge.simulation import summarize
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,6 +58,12 @@ def test_parse_round_trip_minimal():
         (lambda d: d.update(bands=[{"maturity": 0.1, "lo": 80, "hi": 120},
                                    {"maturity": 0.2, "lo": 80, "hi": 120}]),
          "strictly decrease"),
+        (lambda d: d["target"].update(kind="put"), "target.kind: only 'call'"),
+        (lambda d: d.update(target=5), "target: expected an object"),
+        (lambda d: d.update(simulation=5), "simulation: expected an object"),
+        (lambda d: d.update(modified_weight=5), "modified_weight: expected an object"),
+        (lambda d: d.update(methods=["name"]), "methods[0]: expected an object"),
+        (lambda d: d.update(methods=["GQ1"]), "methods[0]: expected an object"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):
@@ -75,6 +82,43 @@ def test_simulation_block_validation():
     data["simulation"]["checkpoints"] = [0.1]
     with pytest.raises(ConfigError, match="checkpoints"):
         parse_config(data)
+
+
+@pytest.mark.parametrize("checkpoint", ["x", None, [], {}])
+def test_non_numeric_checkpoint_is_config_error(checkpoint):
+    data = _small_simulation(_base_config())
+    data["simulation"]["checkpoints"] = [checkpoint]
+    with pytest.raises(ConfigError, match="simulation.checkpoints: expected float"):
+        parse_config(data)
+
+
+def _jump_config(variable, value):
+    data = _base_config()
+    data["model"] = {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14,
+                     "mu": 0.1, "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13}
+    data["sweep"] = {"variable": variable, "values": [value]}
+    return data
+
+
+def _band_config(variable, value):
+    data = _base_config()
+    data["bands"].append({"maturity": 0.0833, "lo": 60.0, "hi": 120.0})
+    data["sweep"] = {"variable": variable, "values": [value]}
+    return data
+
+
+@pytest.mark.parametrize("make, variable, value, fragment", [
+    *((_band_config if var in ("u1", "u2") else _jump_config, var, value, "expected float")
+      for var in ("u1", "u2", "lambda", "mu_j", "sigma_j") for value in ("x", None, [], {})),
+    (_band_config, "u1", -0.1, "band maturity must be > 0"),
+    (_band_config, "u2", 0.0, "band maturity must be > 0"),
+    (_jump_config, "lambda", -1.0, "lam must be >= 0"),
+    (_jump_config, "sigma_j", 0.0, "sigma_j must be > 0"),
+])
+def test_bad_sweep_value_is_config_error(make, variable, value, fragment):
+    cfg = parse_config(make(variable, value))
+    with pytest.raises(ConfigError, match=f"sweep.values: {fragment}"):
+        run_experiment(cfg)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -259,9 +303,12 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
              for t in (1, 2, 4)}
     assert len(blobs) == 1
     report = json.loads(blobs.pop())
+    columns = [round(c / cfg.simulation.step) for c in cfg.checkpoints]
     for value, row in zip(cfg.sweep.values, report["rows"]):
-        model, _, portfolios = experiments._value_context(cfg, value)
-        stats, _, _ = experiments.simulate_methods(cfg, model, portfolios)
+        (errors,) = experiments.simulate_methods(cfg, [experiments._value_context(cfg, value)])
+        stats = {name: [{"time": c, **summarize(err[:, j]).to_dict()}
+                        for c, j in zip(cfg.checkpoints, columns)]
+                 for name, err in errors.items()}
         assert {name: info["stats"] for name, info in row["methods"].items()} == stats
 
 

@@ -33,14 +33,30 @@ from conftest import MATURITY, SPOT, STEP, STRIKE, U1_GRID, U2_GRID
 
 
 def test_sim_config_validation():
-    with pytest.raises(SimulationError):
+    # every error names its field
+    with pytest.raises(SimulationError, match=r"^n_paths: must be >= 1, got 0$"):
         SimConfig(n_paths=0, seed=1, step=0.01, horizon=0.1, spot0=100.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match=r"^horizon: 0\.1 is not on the step grid"):
         SimConfig(n_paths=10, seed=1, step=0.03, horizon=0.1, spot0=100.0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match=r"^step: must be > 0, got -0\.01$"):
         SimConfig(n_paths=10, seed=1, step=-0.01, horizon=0.1, spot0=100.0)
+    with pytest.raises(SimulationError, match=r"^seed: must be >= 0, got -1$"):
+        SimConfig(n_paths=10, seed=-1, step=0.01, horizon=0.1, spot0=100.0)
+    with pytest.raises(SimulationError, match=r"^horizon: must be at least one step"):
+        SimConfig(n_paths=10, seed=1, step=0.01, horizon=0.0, spot0=100.0)
     cfg = SimConfig(n_paths=10, seed=1, step=STEP, horizon=U1_GRID, spot0=100.0)
     assert cfg.n_steps == 40
+
+
+def test_grid_index_is_one_rule_with_one_tolerance():
+    assert simulation.grid_index("t", 21 / 252, 1 / 252) == 21
+    assert simulation.grid_index("t", 0.1 + 5e-10, 0.01) == 10
+    with pytest.raises(SimulationError, match=r"^t: 0\.1 is not on the step grid"):
+        simulation.grid_index("t", 0.1, 0.03)
+    # the horizon check is the same rule
+    cfg = SimConfig(n_paths=2, seed=1, step=0.01, horizon=0.1 + 5e-10, spot0=100.0)
+    assert cfg.n_steps == 10
+    assert np.array_equal(cfg.times, np.arange(11) * 0.01)
 
 
 def test_paths_deterministic_and_positive(bs_model):
