@@ -3,7 +3,8 @@
 Subcommands: ``price`` (target option value), ``build`` (print/serialize
 the hedge leg tables), ``sweep`` (full report over the sweep values),
 ``simulate`` (hedge-error statistics; ``--errors`` also dumps the raw
-error matrices), and ``pfe`` (per-time exposure percentile series).
+error matrices), and ``pfe`` (per-time exposure percentile series).  Each
+subcommand accepts only the flags it reads.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -58,10 +59,13 @@ def _parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file (JSON)")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--format", default="csv", choices=["csv", "json", "plot"])
-        cmd.add_argument("--threads", type=_positive_int, default=1)
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the simulation seed")
+        if name in ("sweep", "simulate"):
+            formats = ["csv", "json", "plot"] if name == "sweep" else ["csv", "json"]
+            cmd.add_argument("--format", default="csv", choices=formats)
+            cmd.add_argument("--threads", type=_positive_int, default=1)
+        if name in ("sweep", "simulate", "pfe"):
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="override the simulation seed")
         if name == "simulate":
             cmd.add_argument("--errors", action="store_true",
                              help="also dump raw error matrices per method")
@@ -123,8 +127,8 @@ def _first_value_errors(cfg):
 def _cmd_simulate(cfg, args):
     _require_simulation(cfg)
     report = run_experiment(cfg, threads=args.threads)
-    written = emit(report, "json" if args.format == "json" else "csv", args.out or ".")
-    if getattr(args, "errors", False):
+    written = emit(report, args.format, args.out or ".")
+    if args.errors:
         out = Path(args.out or ".")
         for name, matrix in _first_value_errors(cfg).items():
             path = out / f"errors_{name}.csv"
@@ -168,7 +172,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _apply_seed(load_config(args.config), args.seed)
+        cfg = _apply_seed(load_config(args.config), getattr(args, "seed", None))
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

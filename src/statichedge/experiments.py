@@ -25,13 +25,18 @@ Config schema::
                       "horizon": .., ["checkpoints": [..]]}]
     }
 
-``hold_variance`` recomputes the diffusion vol while sweeping a jump
-parameter so the total annualized return variance stays fixed.  Only call
-targets are supported.  ``parse_config`` builds the simulation block's
-``SimConfig`` itself (``spot0`` is the target spot); the horizon and the
-checkpoints, in ``(0, horizon]``, must lie on its step grid
-(``simulation.grid_index``).  Bad input, sweep values included, raises a
-``ConfigError`` naming the field.
+Numbers must be finite, and ``true``/``false`` are not numbers.
+``methods``, ``sweep.values`` and ``checkpoints`` are non-empty lists.
+``bands`` may be empty or absent when only ``DH`` is configured; ``GQ2``
+needs two.  ``hold_variance`` recomputes the diffusion vol while sweeping
+a jump parameter so the total annualized return variance stays fixed.
+Only call targets are supported.  ``parse_config`` builds the simulation
+block's ``SimConfig`` itself (``spot0`` is the target spot): the horizon
+lies on its step grid (``simulation.grid_index``) below the target
+maturity, and each checkpoint maps to a grid column in ``1..n_steps``.
+With a static method, the horizon may not pass the first band's maturity,
+checked per sweep value (``u1`` included).  Bad input, sweep values
+included, raises a ``ConfigError`` naming the field.
 """
 from __future__ import annotations
 
@@ -39,19 +44,21 @@ import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, SimulationError, SpanningError, UndefinedPdlError
+from .errors import ConfigError, UndefinedPdlError
 from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, OptionRef
 from .simulation import (
+    HedgeErrorStats,
     PathSet,
     SimConfig,
+    _check_horizon,
     delta_hedge_run,
     grid_index,
     simulate_paths,
@@ -83,7 +90,19 @@ __all__ = [
     "emit",
 ]
 
-METHOD_NAMES = ("CW_a", "CW_b", "GQ1", "GQ2", "GQn", "DH")
+# Each static method: the bands it needs and its builder, called as
+# ``build(model, cfg, bands, n)``.  The lambdas look the builders up when
+# called, so a rebound module attribute (a tracer, a test counter) is seen.
+_STATIC_METHODS = {
+    "CW_a": (1, lambda model, cfg, bands, n: build_cw_a(model, cfg.target, cfg.spot, bands[0])),
+    "CW_b": (1, lambda model, cfg, bands, n: build_cw_b(model, cfg.target, cfg.spot, bands[0], n)),
+    "GQ1": (1, lambda model, cfg, bands, n: build_gq1(model, cfg.target, cfg.spot, bands[0], n)),
+    "GQ2": (2, lambda model, cfg, bands, n: build_gq2(model, cfg.target, cfg.spot, bands[0],
+                                                      bands[1], n, cfg.modified_weight)),
+    "GQn": (1, lambda model, cfg, bands, n: build_gq_n(model, cfg.target, cfg.spot, bands, n,
+                                                       cfg.modified_weight)),
+}
+METHOD_NAMES = (*_STATIC_METHODS, "DH")
 _ORDERED_METHODS = ("CW_b", "GQ1", "GQ2", "GQn")
 SWEEP_VARIABLES = ("quad_points", "band", "u1", "u2", "lambda", "mu_j", "sigma_j")
 _JUMP_FIELDS = {"lambda": "lam", "mu_j": "mu_j", "sigma_j": "sigma_j"}
@@ -116,6 +135,25 @@ class ExperimentConfig:
     raw: dict
 
 
+def _coerce(value, path: str, kind):
+    """``value`` read as ``kind``: a finite float, an int or a non-empty
+    list; any other ``kind`` passes the value through.  Booleans are not
+    numbers.  Raises ``ConfigError`` naming ``path``."""
+    if kind is list:
+        if isinstance(value, list) and value:
+            return value
+        raise ConfigError(f"{path}: must be a non-empty list")
+    if kind not in (float, int):
+        return value
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan  # not a number: rejected below
+    if isinstance(value, bool) or not math.isfinite(out) or (kind is int and out != value):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    return out
+
+
 def _get(section: dict, path: str, key: str, kind, required=True, default=None):
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -123,20 +161,17 @@ def _get(section: dict, path: str, key: str, kind, required=True, default=None):
         if required:
             raise ConfigError(f"{path}.{key}: missing required field")
         return default
-    value = section[key]
+    return _coerce(section[key], f"{path}.{key}", kind)
+
+
+@contextmanager
+def _config_errors(prefix: str):
+    """Re-raise a constructor's ``ValueError`` as ``ConfigError(prefix +
+    message)``.  Numerical subclasses count too, so keep builders out."""
     try:
-        if kind is float:
-            out = float(value)
-            if not math.isfinite(out):
-                raise ValueError
-            return out
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
-        return value
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {value!r}") from None
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _parse_model(section, path="model"):
@@ -147,7 +182,7 @@ def _parse_model(section, path="model"):
         sigma=_get(section, path, "sigma", float),
         mu=_get(section, path, "mu", float, required=False, default=0.0),
     )
-    try:
+    with _config_errors(f"{path}: "):
         if kind == "bs":
             return BsParams(**common)
         if kind == "mjd":
@@ -157,27 +192,16 @@ def _parse_model(section, path="model"):
                 sigma_j=_get(section, path, "sigma_j", float),
                 **common,
             )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.type: expected 'bs' or 'mjd', got {kind!r}")
 
 
 def _parse_band(section, path):
-    try:
+    with _config_errors(f"{path}: "):
         return StrikeBand(
             maturity=_get(section, path, "maturity", float),
             lo=_get(section, path, "lo", float),
             hi=_get(section, path, "hi", float),
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _check_band_order(bands, target):
-    try:
-        check_band_order(bands, target)
-    except SpanningError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -189,20 +213,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     kind = _get(tsec, "target", "kind", str, required=False, default="call")
     if kind != "call":
         raise ConfigError(f"target.kind: only 'call' targets are supported, got {kind!r}")
-    try:
+    with _config_errors("target: "):
         target = OptionRef(strike=_get(tsec, "target", "strike", float),
                            maturity=_get(tsec, "target", "maturity", float))
-    except ValueError as exc:
-        raise ConfigError(f"target: {exc}") from exc
     spot = _get(tsec, "target", "spot", float)
     if spot <= 0:
         raise ConfigError("target.spot: must be > 0")
 
-    raw_methods = data.get("methods")
-    if not isinstance(raw_methods, list) or not raw_methods:
-        raise ConfigError("methods: must be a non-empty list")
     methods = []
-    for i, msec in enumerate(raw_methods):
+    for i, msec in enumerate(_coerce(data.get("methods"), "methods", list)):
         name = _get(msec, f"methods[{i}]", "name", str)
         if name not in METHOD_NAMES:
             raise ConfigError(f"methods[{i}].name: unknown method {name!r}")
@@ -214,10 +233,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("methods: duplicate method names")
 
     raw_bands = data.get("bands", [])
-    if not isinstance(raw_bands, list):
-        raise ConfigError("bands: expected a list")
+    if raw_bands != []:
+        raw_bands = _coerce(raw_bands, "bands", list)
     bands = tuple(_parse_band(b, f"bands[{i}]") for i, b in enumerate(raw_bands))
-    _check_band_order(bands, target)
+    with _config_errors(""):
+        check_band_order(bands, target)
 
     ssec = data.get("sweep")
     if not isinstance(ssec, dict):
@@ -225,9 +245,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     variable = _get(ssec, "sweep", "variable", str)
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"sweep.variable: unknown variable {variable!r}")
-    values = ssec.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values: must be a non-empty list")
+    values = _get(ssec, "sweep", "values", list)
     hold_variance = _get(ssec, "sweep", "hold_variance", float, required=False)
     if hold_variance is not None and variable not in _JUMP_FIELDS:
         raise ConfigError("sweep.hold_variance: only valid for jump-parameter sweeps")
@@ -240,15 +258,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("sweep.variable: 'u1' requires at least one band")
 
     mwsec = data.get("modified_weight", {})
-    try:
+    with _config_errors("modified_weight: "):
         mw_cfg = ModifiedWeightConfig(
             n_inner_gq=_get(mwsec, "modified_weight", "n_inner_gq", int,
                             required=False, default=5),
             n_laguerre=_get(mwsec, "modified_weight", "n_laguerre", int,
                             required=False, default=20),
         )
-    except ValueError as exc:
-        raise ConfigError(f"modified_weight: {exc}") from exc
 
     sim, checkpoints = None, ()
     if "simulation" in data:
@@ -259,29 +275,26 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"simulation.n_paths: must be >= 2 to summarize errors, got {n_paths!r}"
             )
-        raw_checkpoints = sisec.get("checkpoints", [horizon])
-        if not isinstance(raw_checkpoints, list) or not raw_checkpoints:
-            raise ConfigError("simulation.checkpoints: must be a non-empty list")
-        checkpoints = tuple(_get({"checkpoints": c}, "simulation", "checkpoints", float)
-                            for c in raw_checkpoints)
-        if any(c > horizon + 1e-12 or c <= 0 for c in checkpoints):
-            raise ConfigError("simulation.checkpoints: must lie in (0, horizon]")
-        try:
+        path = "simulation.checkpoints"
+        checkpoints = tuple(_coerce(c, path, float)
+                            for c in _get(sisec, "simulation", "checkpoints", list,
+                                          required=False, default=[horizon]))
+        with _config_errors("simulation."):
             sim = SimConfig(n_paths=n_paths, seed=_get(sisec, "simulation", "seed", int),
                             step=_get(sisec, "simulation", "step", float),
                             horizon=horizon, spot0=spot)
+            _check_horizon(sim.times[-1], target)
             # Statistics are read off the grid column of each checkpoint.
             for c in checkpoints:
-                grid_index("checkpoints", c, sim.step)
-        except SimulationError as exc:
-            raise ConfigError(f"simulation.{exc}") from exc
+                if not 1 <= grid_index("checkpoints", c, sim.step) <= sim.n_steps:
+                    raise ConfigError(f"{path}: {c!r} must map to a grid column in "
+                                      f"1..{sim.n_steps} (times in (0, horizon])")
 
-    needs_bands = {"CW_a", "CW_b", "GQ1", "GQ2", "GQn"}
     for i, m in enumerate(methods):
-        if m.name in needs_bands and not bands:
-            raise ConfigError(f"methods[{i}]: {m.name} requires at least one band")
-        if m.name == "GQ2" and len(bands) < 2:
-            raise ConfigError(f"methods[{i}]: GQ2 requires two bands")
+        need = _STATIC_METHODS[m.name][0] if m.name in _STATIC_METHODS else 0
+        if len(bands) < need:
+            raise ConfigError(f"methods[{i}]: {m.name} requires {need} band(s), "
+                              f"got {len(bands)}")
         if m.name in _ORDERED_METHODS and m.n is None and variable != "quad_points":
             raise ConfigError(f"methods[{i}].n: required unless sweeping quad_points")
         if m.name == "DH" and sim is None:
@@ -340,7 +353,7 @@ def _value_context(cfg: ExperimentConfig, value):
     orders = {m.name: m.n for m in cfg.methods}
     var = cfg.sweep.variable
     if var == "quad_points":
-        n = _get({"values": value}, "sweep", "values", int)
+        n = _coerce(value, "sweep.values", int)
         if n < 1:
             raise ConfigError(f"sweep.values: quad_points must be >= 1, got {value!r}")
         orders = {name: (n if name in _ORDERED_METHODS else existing)
@@ -356,16 +369,14 @@ def _value_context(cfg: ExperimentConfig, value):
             new.append(_parse_band(entry, f"sweep.values[..][{i}]"))
         bands = new
     else:
-        x = _get({"values": value}, "sweep", "values", float)
-        try:
+        x = _coerce(value, "sweep.values", float)
+        with _config_errors("sweep.values: "):
             if var == "u1":
                 bands[0] = StrikeBand(x, bands[0].lo, bands[0].hi)
             elif var == "u2":
                 bands[1] = StrikeBand(x, bands[1].lo, bands[1].hi)
             else:
                 model = replace(model, **{_JUMP_FIELDS[var]: x})
-        except ValueError as exc:
-            raise ConfigError(f"sweep.values: {exc}") from exc
         if var in _JUMP_FIELDS and cfg.sweep.hold_variance is not None:
             resid = cfg.sweep.hold_variance - model.lam * (model.mu_j ** 2 + model.sigma_j ** 2)
             if resid <= 0:
@@ -373,26 +384,16 @@ def _value_context(cfg: ExperimentConfig, value):
                     f"sweep.values: jump variance exceeds hold_variance at {value!r}"
                 )
             model = replace(model, sigma=math.sqrt(resid))
-    _check_band_order(bands, cfg.target)
-    portfolios = {m.name: _build_portfolio(m.name, model, cfg, bands, orders)
-                  for m in cfg.methods if m.name != "DH"}
+    static = [m.name for m in cfg.methods if m.name in _STATIC_METHODS]
+    with _config_errors(""):
+        check_band_order(bands, cfg.target)
+    if static and cfg.simulation is not None:
+        # The longest leg of every static portfolio expires at bands[0].
+        with _config_errors("simulation."):
+            _check_horizon(cfg.simulation.times[-1], cfg.target, [bands[0].maturity])
+    portfolios = {name: _STATIC_METHODS[name][1](model, cfg, bands, orders[name])
+                  for name in static}
     return model, orders, portfolios
-
-
-def _build_portfolio(name, model, cfg, bands, orders):
-    if name == "CW_a":
-        return build_cw_a(model, cfg.target, cfg.spot, bands[0])
-    if name == "CW_b":
-        return build_cw_b(model, cfg.target, cfg.spot, bands[0], orders["CW_b"])
-    if name == "GQ1":
-        return build_gq1(model, cfg.target, cfg.spot, bands[0], orders["GQ1"])
-    if name == "GQ2":
-        return build_gq2(model, cfg.target, cfg.spot, bands[0], bands[1],
-                         orders["GQ2"], cfg.modified_weight)
-    if name == "GQn":
-        return build_gq_n(model, cfg.target, cfg.spot, bands, orders["GQn"],
-                          cfg.modified_weight)
-    raise ConfigError(f"method {name!r} does not build a static portfolio")
 
 
 def _block_errors(cfg, model, paths, portfolios, columns, rows) -> list:
@@ -524,67 +525,52 @@ def emit(report: Report, format: str, out_dir) -> list:
         raise ConfigError("cannot emit an empty report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     names = _method_names(report)
     if format == "json":
         path = out / "report.json"
         path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-        written.append(path)
-    elif format == "csv":
-        path = out / "report.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["sweep_value"]
+        return [path]
+    # Each CSV file as {file name: rows}, header row first.
+    tables = {}
+    if format == "csv":
+        header = ["sweep_value"]
+        for name in names:
+            header += [f"{name}_edl", f"{name}_legs"]
+        tables["report.csv"] = [header + ["pdl"]]
+        stat_fields = [f.name for f in fields(HedgeErrorStats)]
+        stats = [["sweep_value", "method", "time"] + stat_fields]
+        for row in report.rows:
+            cells = [json.dumps(row.sweep_value)]
             for name in names:
-                header += [f"{name}_edl", f"{name}_legs"]
-            header.append("pdl")
-            writer.writerow(header)
-            for row in report.rows:
-                cells = [json.dumps(row.sweep_value)]
-                for name in names:
-                    info = row.methods.get(name, {})
-                    cells += [_fmt(info.get("edl")), _fmt(info.get("legs"))]
-                cells.append(_fmt(row.pdl))
-                writer.writerow(cells)
-        written.append(path)
-        if any("stats" in info for row in report.rows for info in row.methods.values()):
-            written.append(_emit_stats_csv(report, out, names))
+                info = row.methods.get(name, {})
+                cells += [_fmt(info.get("edl")), _fmt(info.get("legs"))]
+                for stat in info.get("stats", []):
+                    stats.append([json.dumps(row.sweep_value), name, _fmt(stat["time"])]
+                                 + [_fmt(stat[f]) for f in stat_fields])
+            tables["report.csv"].append(cells + [_fmt(row.pdl)])
+        if len(stats) > 1:
+            tables["stats.csv"] = stats
     elif format == "plot":
-        path = out / "series.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["x"]
+        header = ["x"]
+        for name in names:
+            header += [f"{name}_edl", f"{name}_log10_abs_edl"]
+        tables["series.csv"] = [header]
+        for index, row in enumerate(report.rows):
+            cells = [_fmt(_scalar_x(row, index))]
             for name in names:
-                header += [f"{name}_edl", f"{name}_log10_abs_edl"]
-            writer.writerow(header)
-            for index, row in enumerate(report.rows):
-                cells = [_fmt(_scalar_x(row, index))]
-                for name in names:
-                    e = row.methods.get(name, {}).get("edl")
-                    cells.append(_fmt(e))
-                    cells.append(_fmt(math.log10(abs(e)) if e not in (None, 0.0) else None))
-                writer.writerow(cells)
-        written.append(path)
+                e = row.methods.get(name, {}).get("edl")
+                cells.append(_fmt(e))
+                cells.append(_fmt(math.log10(abs(e)) if e not in (None, 0.0) else None))
+            tables["series.csv"].append(cells)
     else:
         raise ConfigError(f"unknown emit format {format!r}")
+    written = []
+    for file_name, rows in tables.items():
+        path = out / file_name
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        written.append(path)
     return written
-
-
-def _emit_stats_csv(report: Report, out: Path, names) -> Path:
-    path = out / "stats.csv"
-    stat_fields = ["p95", "p05", "rmse", "mean", "mae", "min", "max",
-                   "skewness", "kurtosis", "degenerate"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep_value", "method", "time"] + stat_fields)
-        for row in report.rows:
-            for name in names:
-                for stat in row.methods.get(name, {}).get("stats", []):
-                    writer.writerow(
-                        [json.dumps(row.sweep_value), name, _fmt(stat["time"])]
-                        + [_fmt(stat[f]) for f in stat_fields]
-                    )
-    return path
 
 
 def _fmt(value):

@@ -203,12 +203,16 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
     return PathSet(cfg.times, values)
 
 
-def _check_horizon(times: np.ndarray, target: OptionRef):
-    if times[-1] >= target.maturity:
-        raise SimulationError(
-            f"grid horizon {times[-1]!r} must stay below the target maturity "
-            f"{target.maturity!r}"
-        )
+def _check_horizon(horizon: float, target: OptionRef, leg_maturities=()):
+    """The grid ``horizon`` must stay below the target maturity and must
+    not pass the longest of ``leg_maturities``."""
+    horizon = float(horizon)
+    if horizon >= target.maturity:
+        raise SimulationError(f"horizon: grid horizon {horizon!r} must stay below the "
+                              f"target maturity {target.maturity!r}")
+    if leg_maturities and horizon > max(leg_maturities) + _GRID_TOL:
+        raise SimulationError(f"horizon: grid horizon {horizon!r} extends past the longest "
+                              f"hedge leg {max(leg_maturities)!r}")
 
 
 def _column_slots(times: np.ndarray, columns) -> tuple:
@@ -236,7 +240,7 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
     step, but the target is marked only at the returned grid times.
     """
     times = paths.times
-    _check_horizon(times, target)
+    _check_horizon(times[-1], target)
     n_columns, slots = _column_slots(times, columns)
     r = model.r
     S = paths.values
@@ -255,10 +259,8 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
 def _leg_expiries(times: np.ndarray, portfolio: HedgePortfolio) -> list:
     """Check ``portfolio`` against the grid; return each leg's expiry grid
     index, or None for a leg that outlives the horizon."""
-    _check_horizon(times, portfolio.target)
     leg_maturities = portfolio.maturities
-    if leg_maturities and times[-1] > max(leg_maturities) + _GRID_TOL:
-        raise SimulationError("grid horizon extends past the longest hedge leg")
+    _check_horizon(times[-1], portfolio.target, leg_maturities)
     # Legs expiring after the horizon stay alive for the whole run; legs
     # expiring inside it must sit on the grid so their payoff is observed.
     maturity_index = {

@@ -141,6 +141,53 @@ def test_off_grid_horizon_is_config_error(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+# The message gives the grid's last time, n_steps * step.
+@pytest.mark.parametrize("simulation, sweep, message", [
+    ({"horizon": 1.0, "checkpoints": [0.5]}, None,
+     "simulation.horizon: grid horizon 1.0 must stay below the target maturity 1.0"),
+    ({"horizon": 41 / 252, "checkpoints": [41 / 252]}, None,
+     f"simulation.horizon: grid horizon {41 * (1 / 252)!r} extends past the longest hedge leg "
+     f"{40 / 252!r}"),
+    ({}, {"variable": "u1", "values": [40 / 252, 10 / 252]},
+     f"simulation.horizon: grid horizon {21 * (1 / 252)!r} extends past the longest hedge leg "
+     f"{10 / 252!r}"),
+    ({"checkpoints": [1e-10]}, None,
+     "simulation.checkpoints: 1e-10 must map to a grid column in 1..21"),
+])
+def test_simulation_block_off_its_grid_is_config_error(tmp_path, capsys, simulation, sweep,
+                                                        message):
+    data = _small_sim_config()
+    data["simulation"].update(simulation)
+    data["sweep"] = sweep or data["sweep"]
+    cfg = _write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_checkpoint_within_the_grid_tolerance_of_the_horizon_runs(tmp_path):
+    data = _small_sim_config()
+    data["simulation"]["checkpoints"] = [21 / 252 + 5e-10]
+    cfg = _write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    stats = (tmp_path / "stats.csv").read_text().splitlines()
+    assert len(stats) == 3 and all(line.split(",")[2] == repr(21 / 252 + 5e-10)
+                                   for line in stats[1:])
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("price", "build")
+      for flag in (["--format", "csv"], ["--threads", "2"], ["--seed", "1"])),
+    ("pfe", ["--format", "csv"]), ("pfe", ["--threads", "2"]),
+    ("simulate", ["--format", "plot"]),
+])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    cfg = _write_config(tmp_path, _small_sim_config())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path), *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_negative_seed_override_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, _small_sim_config())
     args = ["simulate", "--config", str(cfg), "--out", str(tmp_path), "--seed", "-5"]

@@ -64,6 +64,14 @@ def test_parse_round_trip_minimal():
         (lambda d: d.update(modified_weight=5), "modified_weight: expected an object"),
         (lambda d: d.update(methods=["name"]), "methods[0]: expected an object"),
         (lambda d: d.update(methods=["GQ1"]), "methods[0]: expected an object"),
+        (lambda d: d["target"].update(spot=True), "target.spot: expected float"),
+        (lambda d: d["target"].update(maturity=True), "target.maturity: expected float"),
+        (lambda d: d["bands"][0].update(lo=True), "bands[0].lo: expected float"),
+        (lambda d: d["model"].update(mu=True), "model.mu: expected float"),
+        *((lambda d, name=name: d.update(methods=[{"name": name, "n": 4}], bands=[]),
+           f"methods[0]: {name} requires") for name in ("CW_a", "CW_b", "GQ1", "GQn")),
+        (lambda d: d.update(methods=[{"name": "GQ1", "n": 4}, {"name": "GQ2", "n": 4}]),
+         "methods[1]: GQ2 requires"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):
@@ -84,7 +92,7 @@ def test_simulation_block_validation():
         parse_config(data)
 
 
-@pytest.mark.parametrize("checkpoint", ["x", None, [], {}])
+@pytest.mark.parametrize("checkpoint", ["x", None, [], {}, True])
 def test_non_numeric_checkpoint_is_config_error(checkpoint):
     data = _small_simulation(_base_config())
     data["simulation"]["checkpoints"] = [checkpoint]
@@ -114,6 +122,7 @@ def _band_config(variable, value):
     (_band_config, "u2", 0.0, "band maturity must be > 0"),
     (_jump_config, "lambda", -1.0, "lam must be >= 0"),
     (_jump_config, "sigma_j", 0.0, "sigma_j must be > 0"),
+    (_band_config, "u1", True, "expected float"),
 ])
 def test_bad_sweep_value_is_config_error(make, variable, value, fragment):
     cfg = parse_config(make(variable, value))
@@ -343,3 +352,27 @@ def test_metadata_echoes_defaults():
         "min_terms": MIN_TERMS, "pmf_cutoff": PMF_CUTOFF, "max_terms": MAX_TERMS,
     }
     assert md["config"]["model"]["sigma"] == 0.27
+
+
+def test_method_table_builds_what_the_builders_build():
+    from statichedge.spanning import (build_cw_a, build_cw_b, build_gq1, build_gq2,
+                                      build_gq_n)
+
+    data = _base_config()
+    data["methods"] = [{"name": name, "n": 6} for name in ("CW_a", "CW_b", "GQ1", "GQ2", "GQn")]
+    data["bands"].append({"maturity": 0.0833, "lo": 60.0, "hi": 130.0})
+    data["modified_weight"] = {"n_inner_gq": 4, "n_laguerre": 12}
+    cfg = parse_config(data)
+    _, _, portfolios = experiments._value_context(cfg, 7)
+    b1, b2 = cfg.bands
+    args = (cfg.model, cfg.target, cfg.spot)
+    direct = {
+        "CW_a": build_cw_a(*args, b1),
+        "CW_b": build_cw_b(*args, b1, 7),
+        "GQ1": build_gq1(*args, b1, 7),
+        "GQ2": build_gq2(*args, b1, b2, 7, cfg.modified_weight),
+        "GQn": build_gq_n(*args, [b1, b2], 7, cfg.modified_weight),
+    }
+    assert list(portfolios) == list(direct)
+    assert {name: repr(p) for name, p in portfolios.items()} == {
+        name: repr(p) for name, p in direct.items()}
