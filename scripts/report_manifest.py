@@ -1,11 +1,15 @@
-"""Print a sha256 manifest of everything the CLI emits for the shipped configs.
+"""Print a sha256 manifest of everything the CLI emits for the shipped configs
+and the generated GQn configs.
 
 Every config in ``<root>/configs`` runs through ``sweep`` in each format
-(csv, json, plot), ``build`` and ``price``; configs with a simulation block
-also run through ``simulate --errors``, ``pfe`` and ``sweep --threads 2
---seed 7`` (a second seed on a thread pool, so the per-model grouping of
-sweep values and the split of paths across threads are covered too).  Each
-call gets a fresh output directory, and the manifest lists the sha256 of
+(csv, json, plot), ``build`` and ``price``, and so does each generated GQn
+config of the benchmark pool (3-4 band BS and MJD hedges, some with
+``modified_weight`` overrides), which ``bench.workloads.write_gqn_configs``
+writes to a temporary directory; ``bench/`` is only read.  Configs with
+a simulation block also run through ``simulate --errors``, ``pfe`` and
+``sweep --threads 2 --seed 7`` (a second seed on a thread pool, so the
+per-model grouping of sweep values and the split of paths across threads
+are covered too).  Each call gets a fresh output directory, and the manifest lists the sha256 of
 every file written there and of the call's stdout (with the output
 directory replaced by ``<out>``), plus its exit code.  Two checkouts emit
 the same bytes exactly when their manifests are identical::
@@ -13,7 +17,7 @@ the same bytes exactly when their manifests are identical::
     python scripts/report_manifest.py [root] > manifest.txt
 
 ``root`` defaults to the checkout holding this script; the package is
-imported from ``<root>/src``.
+imported from ``<root>/src`` and the GQn pool from ``<root>/bench``.
 """
 from __future__ import annotations
 
@@ -49,24 +53,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root))
+    from bench.workloads import write_gqn_configs
     from statichedge import cli
 
     n_files = 0
-    for config in sorted((root / "configs").glob("*.cfg")):
-        for label, tail in _calls(config):
-            with tempfile.TemporaryDirectory() as tmp:
-                out = Path(tmp) / "out"
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    code = cli.main(tail + ["--config", str(config), "--out", str(out)])
-                text = stdout.getvalue().replace(str(out), "<out>")
-                prefix = f"{config.name} {label}"
-                print(f"{prefix} exit={code}")
-                print(f"{_sha256(text.encode())}  {prefix} <stdout>")
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    print(f"{_sha256(path.read_bytes())}  {prefix} {path.relative_to(out)}")
-                    n_files += 1
+    with tempfile.TemporaryDirectory() as gqn_dir:
+        write_gqn_configs(Path(gqn_dir))
+        configs = sorted((root / "configs").glob("*.cfg")) + sorted(Path(gqn_dir).glob("*.cfg"))
+        for config in configs:
+            for label, tail in _calls(config):
+                with tempfile.TemporaryDirectory() as tmp:
+                    out = Path(tmp) / "out"
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        code = cli.main(tail + ["--config", str(config), "--out", str(out)])
+                    text = stdout.getvalue().replace(str(out), "<out>")
+                    prefix = f"{config.name} {label}"
+                    print(f"{prefix} exit={code}")
+                    print(f"{_sha256(text.encode())}  {prefix} <stdout>")
+                    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                        print(f"{_sha256(path.read_bytes())}  {prefix} {path.relative_to(out)}")
+                        n_files += 1
     print(f"# {n_files} emitted files", file=sys.stderr)
     return 0
 

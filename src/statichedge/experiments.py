@@ -25,12 +25,15 @@ Config schema::
                       "horizon": .., ["checkpoints": [..]]}]
     }
 
-Numbers must be finite, and ``true``/``false`` are not numbers.
-``methods``, ``sweep.values`` and ``checkpoints`` are non-empty lists.
-``bands`` may be empty or absent when only ``DH`` is configured; ``GQ2``
-needs two.  ``hold_variance`` recomputes the diffusion vol while sweeping
-a jump parameter so the total annualized return variance stays fixed.
-Only call targets are supported.  ``parse_config`` builds the simulation
+Numbers must be finite, and ``true``/``false`` and strings are not
+numbers.  ``methods``, ``sweep.values`` and ``checkpoints`` are non-empty
+lists.  ``bands`` may be empty or absent when only ``DH`` is configured;
+``GQ2`` needs two, and ``GQn`` takes at most ``spanning.MAX_BANDS``.  Each
+quadrature order (``n``, a ``quad_points`` value, the ``modified_weight``
+orders) stays within ``quadrature.ORDER_CAP`` of the rule it sizes.
+``hold_variance`` recomputes the diffusion vol while sweeping a jump
+parameter so the total annualized return variance stays fixed.  Only call
+targets are supported.  ``parse_config`` builds the simulation
 block's ``SimConfig`` itself (``spot0`` is the target spot): the horizon
 lies on its step grid (``simulation.grid_index``) below the target
 maturity, and each checkpoint maps to a grid column in ``1..n_steps``.
@@ -54,6 +57,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, UndefinedPdlError
 from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, OptionRef
+from .quadrature import HERMITE, LEGENDRE, ORDER_CAP
 from .simulation import (
     HedgeErrorStats,
     PathSet,
@@ -67,6 +71,7 @@ from .simulation import (
 )
 from .spanning import (
     MATURITY_GAP,
+    MAX_BANDS,
     ModifiedWeightConfig,
     StrikeBand,
     build_cw_a,
@@ -90,17 +95,23 @@ __all__ = [
     "emit",
 ]
 
-# Each static method: the bands it needs and its builder, called as
-# ``build(model, cfg, bands, n)``.  The lambdas look the builders up when
-# called, so a rebound module attribute (a tracer, a test counter) is seen.
+# Each static method: the bands it needs, the quadrature rule its order
+# ``n`` sizes, and its builder, called as ``build(model, cfg, bands, n)``.
+# The lambdas look the builders up when called, so a rebound module
+# attribute (a tracer, a test counter) is seen.
 _STATIC_METHODS = {
-    "CW_a": (1, lambda model, cfg, bands, n: build_cw_a(model, cfg.target, cfg.spot, bands[0])),
-    "CW_b": (1, lambda model, cfg, bands, n: build_cw_b(model, cfg.target, cfg.spot, bands[0], n)),
-    "GQ1": (1, lambda model, cfg, bands, n: build_gq1(model, cfg.target, cfg.spot, bands[0], n)),
-    "GQ2": (2, lambda model, cfg, bands, n: build_gq2(model, cfg.target, cfg.spot, bands[0],
-                                                      bands[1], n, cfg.modified_weight)),
-    "GQn": (1, lambda model, cfg, bands, n: build_gq_n(model, cfg.target, cfg.spot, bands, n,
-                                                       cfg.modified_weight)),
+    "CW_a": (1, HERMITE,
+             lambda model, cfg, bands, n: build_cw_a(model, cfg.target, cfg.spot, bands[0])),
+    "CW_b": (1, HERMITE,
+             lambda model, cfg, bands, n: build_cw_b(model, cfg.target, cfg.spot, bands[0], n)),
+    "GQ1": (1, LEGENDRE,
+            lambda model, cfg, bands, n: build_gq1(model, cfg.target, cfg.spot, bands[0], n)),
+    "GQ2": (2, LEGENDRE,
+            lambda model, cfg, bands, n: build_gq2(model, cfg.target, cfg.spot, bands[0],
+                                                   bands[1], n, cfg.modified_weight)),
+    "GQn": (1, LEGENDRE,
+            lambda model, cfg, bands, n: build_gq_n(model, cfg.target, cfg.spot, bands, n,
+                                                    cfg.modified_weight)),
 }
 METHOD_NAMES = (*_STATIC_METHODS, "DH")
 _ORDERED_METHODS = ("CW_b", "GQ1", "GQ2", "GQn")
@@ -137,8 +148,8 @@ class ExperimentConfig:
 
 def _coerce(value, path: str, kind):
     """``value`` read as ``kind``: a finite float, an int or a non-empty
-    list; any other ``kind`` passes the value through.  Booleans are not
-    numbers.  Raises ``ConfigError`` naming ``path``."""
+    list; any other ``kind`` passes the value through.  Booleans and
+    strings are not numbers.  Raises ``ConfigError`` naming ``path``."""
     if kind is list:
         if isinstance(value, list) and value:
             return value
@@ -149,9 +160,18 @@ def _coerce(value, path: str, kind):
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan  # not a number: rejected below
-    if isinstance(value, bool) or not math.isfinite(out) or (kind is int and out != value):
+    if isinstance(value, (bool, str)) or not math.isfinite(out) or (kind is int and out != value):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     return out
+
+
+def _check_order_cap(name: str, n: int, path: str):
+    """Reject an order ``n`` above the cap of the rule method ``name`` uses
+    (``quadrature.ORDER_CAP``), naming ``path``."""
+    rule = _STATIC_METHODS[name][1]
+    if n > ORDER_CAP[rule]:
+        raise ConfigError(f"{path}: {name} uses {rule} rules of order <= "
+                          f"{ORDER_CAP[rule]}, got {n!r}")
 
 
 def _get(section: dict, path: str, key: str, kind, required=True, default=None):
@@ -228,6 +248,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         n = _get(msec, f"methods[{i}]", "n", int, required=False)
         if n is not None and n < 1:
             raise ConfigError(f"methods[{i}].n: must be >= 1")
+        if n is not None and name in _STATIC_METHODS:
+            _check_order_cap(name, n, f"methods[{i}].n")
         methods.append(MethodSpec(name, n))
     if len({m.name for m in methods}) != len(methods):
         raise ConfigError("methods: duplicate method names")
@@ -295,6 +317,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         if len(bands) < need:
             raise ConfigError(f"methods[{i}]: {m.name} requires {need} band(s), "
                               f"got {len(bands)}")
+        if m.name == "GQn" and len(bands) > MAX_BANDS:
+            raise ConfigError(f"bands: GQn (methods[{i}]) spans at most {MAX_BANDS} "
+                              f"maturities, got {len(bands)}")
         if m.name in _ORDERED_METHODS and m.n is None and variable != "quad_points":
             raise ConfigError(f"methods[{i}].n: required unless sweeping quad_points")
         if m.name == "DH" and sim is None:
@@ -356,6 +381,9 @@ def _value_context(cfg: ExperimentConfig, value):
         n = _coerce(value, "sweep.values", int)
         if n < 1:
             raise ConfigError(f"sweep.values: quad_points must be >= 1, got {value!r}")
+        for name in orders:
+            if name in _ORDERED_METHODS:
+                _check_order_cap(name, n, "sweep.values")
         orders = {name: (n if name in _ORDERED_METHODS else existing)
                   for name, existing in orders.items()}
     elif var == "band":
@@ -391,7 +419,7 @@ def _value_context(cfg: ExperimentConfig, value):
         # The longest leg of every static portfolio expires at bands[0].
         with _config_errors("simulation."):
             _check_horizon(cfg.simulation.times[-1], cfg.target, [bands[0].maturity])
-    portfolios = {name: _STATIC_METHODS[name][1](model, cfg, bands, orders[name])
+    portfolios = {name: _STATIC_METHODS[name][2](model, cfg, bands, orders[name])
                   for name in static}
     return model, orders, portfolios
 

@@ -2,11 +2,18 @@
 supported risk-neutral models.
 
 ``BsParams`` is plain geometric Brownian motion; ``MjdParams`` adds
-log-normally distributed jumps arriving at Poisson rate ``lam``, in which
-case the call price is the classic Poisson-weighted mixture of adjusted
-Black-Scholes prices.  ``strike_gamma_weight`` is the second derivative of
-the call pricing function in its spot slot - the gamma bell that prices a
-long-dated call off a continuum of shorter-dated ones.
+log-normally distributed jumps arriving at Poisson rate ``lam``.  Both are
+one Poisson-weighted mixture of adjusted Black-Scholes terms
+(``_mixture``): the jump model sums its truncated series, and Black-Scholes
+is the one-term case, so ``call_price``, ``delta`` and
+``strike_gamma_weight`` each hold a single formula.  The discounts sit
+where each family's classic formula puts them: Black-Scholes discounts the
+spot and strike legs of its one term, and the jump series discounts its sum
+once at the risk-free rate.  The two placements agree mathematically but
+round differently, and keeping them keeps every price bitwise unchanged.
+``strike_gamma_weight`` is the second derivative of the call pricing
+function in its spot slot - the gamma bell that prices a long-dated call
+off a continuum of shorter-dated ones.
 
 All operations are pure, accept numpy arrays in the spot/strike slots
 (broadcasting them), and are safe for concurrent use.
@@ -138,7 +145,7 @@ def _as_positive_pair(S, K):
     # Written so that NaN fails the comparison as well as zero and +-inf.
     if not (np.all((Sa > 0.0) & (Sa < math.inf)) and np.all((Ka > 0.0) & (Ka < math.inf))):
         raise DomainError("spot and strike must be finite and strictly positive")
-    return np.broadcast_arrays(Sa, Ka)
+    return Sa, Ka
 
 
 def _maybe_scalar(out):
@@ -188,44 +195,43 @@ def mjd_series_terms(params: MjdParams, tau: float):
     return np.array(probs), np.array(rns), np.array(sns)
 
 
-def _bs_d1(Sa, Ka, tau, model: BsParams):
-    """Black-Scholes ``d1`` and ``sigma sqrt(tau)``."""
-    st = model.sigma * math.sqrt(tau)
-    d1 = (np.log(Sa / Ka) + (model.r - model.delta_yield + 0.5 * model.sigma ** 2) * tau) / st
+def _mixture(model: ModelSpec, tau: float):
+    """``(probs, rates, vols, spot_disc, strike_disc, outer)``: the call price
+    at horizon ``tau`` is ``outer`` times the probs-weighted sum of
+    Black-Scholes terms with rate r_n and vol sigma_n, whose spot and strike
+    legs are discounted by spot_disc_n and strike_disc_n.  Black-Scholes is
+    one term of Python floats; the jump model's come from ``mjd_series_terms``.
+    """
+    q = model.delta_yield
+    if isinstance(model, MjdParams):
+        probs, rates, vols = mjd_series_terms(model, tau)
+        return probs, rates, vols, np.exp((rates - q) * tau), 1.0, math.exp(-model.r * tau)
+    return 1.0, model.r, model.sigma, math.exp(-q * tau), math.exp(-model.r * tau), 1.0
+
+
+def _d1(Sa, Ka, tau, q, rates, vols):
+    """Per-term ``d1`` on a trailing series axis, and ``vols sqrt(tau)``."""
+    st = vols * math.sqrt(tau)
+    d1 = (np.log(Sa[..., None] / Ka[..., None]) + (rates - q + 0.5 * vols ** 2) * tau) / st
     return d1, st
-
-
-def _mjd_d1(Sa, Ka, tau, model: MjdParams):
-    """Per-term ``d1_n`` on a trailing series axis, with ``sigma_n sqrt(tau)``,
-    the Poisson probabilities and the per-term rates."""
-    probs, rns, sns = mjd_series_terms(model, tau)
-    st = sns * math.sqrt(tau)
-    d1 = (np.log(Sa[..., None] / Ka[..., None])
-          + (rns - model.delta_yield + 0.5 * sns ** 2) * tau) / st
-    return d1, st, probs, rns
 
 
 def call_price(model: ModelSpec, S, t, K, T):
     """Risk-neutral price of a European call C(S, t, K, T).
 
-    Under jump diffusion this is the Poisson-probability-weighted sum of
-    Black-Scholes-type terms with per-term rate r_n and vol sigma_n,
-    discounted at the risk-free rate.  ``S`` and ``K`` broadcast.
+    The ``_mixture`` sum of Black-Scholes prices with per-term rate r_n and
+    vol sigma_n: one term under plain GBM, the Poisson-weighted series under
+    jump diffusion.  ``S`` and ``K`` broadcast.
     """
     Sa, Ka = _as_positive_pair(S, K)
     tau = _tau_or_intrinsic(t, T)
     if tau is None:
         return _maybe_scalar(np.maximum(Sa - Ka, 0.0))
-    q = model.delta_yield
-    if isinstance(model, MjdParams):
-        d1, st, probs, rns = _mjd_d1(Sa, Ka, tau, model)
-        terms = probs * (Sa[..., None] * np.exp((rns - q) * tau) * ndtr(d1)
-                         - Ka[..., None] * ndtr(d1 - st))
-        out = math.exp(-model.r * tau) * terms.sum(axis=-1)
-    else:
-        d1, st = _bs_d1(Sa, Ka, tau, model)
-        out = Sa * math.exp(-q * tau) * ndtr(d1) - Ka * math.exp(-model.r * tau) * ndtr(d1 - st)
-    return _maybe_scalar(np.asarray(out))
+    probs, rates, vols, spot_disc, strike_disc, outer = _mixture(model, tau)
+    d1, st = _d1(Sa, Ka, tau, model.delta_yield, rates, vols)
+    terms = probs * (Sa[..., None] * spot_disc * ndtr(d1)
+                     - Ka[..., None] * strike_disc * ndtr(d1 - st))
+    return _maybe_scalar(np.asarray(outer * terms.sum(axis=-1)))
 
 
 def call_marks(model: ModelSpec, S, t, pairs) -> dict:
@@ -247,9 +253,7 @@ def call_marks(model: ModelSpec, S, t, pairs) -> dict:
     for maturity, strikes in by_maturity.items():
         strikes = list(strikes)
         tau = _tau_or_intrinsic(t, maturity)
-        terms = 1
-        if tau is not None and isinstance(model, MjdParams):
-            terms = len(mjd_series_terms(model, tau)[0])
+        terms = 1 if tau is None else np.size(_mixture(model, tau)[0])
         step = max(1, MAX_BLOCK // (max(Sa.size, 1) * terms))
         for lo in range(0, len(strikes), step):
             block = strikes[lo:lo + step]
@@ -274,23 +278,18 @@ def put_price(model: ModelSpec, S, t, K, T):
 def delta(model: ModelSpec, S, t, K, T):
     """Spot sensitivity dC/dS of the call pricing function.
 
-    For the jump model this is the exact derivative of the implemented
-    price series, e^{-r tau} sum_n Pr(n) e^{(r_n - q) tau} N(d1_n),
-    which a finite-difference cross-check pins down to ~1e-8.
+    The exact derivative of the ``_mixture`` sum, outer * sum_n Pr(n)
+    spot_disc_n N(d1_n); for the jump model a finite-difference
+    cross-check pins it down to ~1e-8.
     """
     Sa, Ka = _as_positive_pair(S, K)
     tau = _tau_or_intrinsic(t, T)
     if tau is None:
         raise DomainError("delta undefined at or after expiry")
-    q = model.delta_yield
-    if isinstance(model, MjdParams):
-        d1, _, probs, rns = _mjd_d1(Sa, Ka, tau, model)
-        out = math.exp(-model.r * tau) * (probs * np.exp((rns - q) * tau)
-                                          * ndtr(d1)).sum(axis=-1)
-    else:
-        d1, _ = _bs_d1(Sa, Ka, tau, model)
-        out = math.exp(-q * tau) * ndtr(d1)
-    return _maybe_scalar(np.asarray(out))
+    probs, rates, vols, spot_disc, _, outer = _mixture(model, tau)
+    d1, _ = _d1(Sa, Ka, tau, model.delta_yield, rates, vols)
+    terms = probs * spot_disc * ndtr(d1)
+    return _maybe_scalar(np.asarray(outer * terms.sum(axis=-1)))
 
 
 def strike_gamma_weight(model: ModelSpec, x, u, K, T):
@@ -307,17 +306,15 @@ def strike_gamma_weight(model: ModelSpec, x, u, K, T):
     tau = _tau_or_intrinsic(u, T)
     if tau is None:
         raise DomainError(f"weight undefined for u >= T (u={u!r}, T={T!r})")
-    q = model.delta_yield
+    probs, rates, vols, spot_disc, _, outer = _mixture(model, tau)
+    d1, st = _d1(xa, Ka, tau, model.delta_yield, rates, vols)
+    terms = probs * spot_disc * _npdf(d1) / (xa[..., None] * st)
+    return _maybe_scalar(np.asarray(outer * terms.sum(axis=-1)))
+
+
+def annualized_variance(model: ModelSpec) -> float:
+    """Total per-year return variance V of either model: sigma^2 under plain
+    GBM, sigma^2 + lam (mu_j^2 + sigma_j^2) under jump diffusion."""
     if isinstance(model, MjdParams):
-        d1, st, probs, rns = _mjd_d1(xa, Ka, tau, model)
-        terms = probs * np.exp((rns - q) * tau) * _npdf(d1) / (xa[..., None] * st)
-        out = math.exp(-model.r * tau) * terms.sum(axis=-1)
-    else:
-        d1, st = _bs_d1(xa, Ka, tau, model)
-        out = math.exp(-q * tau) * _npdf(d1) / (xa * st)
-    return _maybe_scalar(np.asarray(out))
-
-
-def annualized_variance(params: MjdParams) -> float:
-    """Total per-year return variance sigma^2 + lam (mu_j^2 + sigma_j^2)."""
-    return params.sigma ** 2 + params.lam * (params.mu_j ** 2 + params.sigma_j ** 2)
+        return model.sigma ** 2 + model.lam * (model.mu_j ** 2 + model.sigma_j ** 2)
+    return model.sigma ** 2

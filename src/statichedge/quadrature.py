@@ -49,12 +49,6 @@ LAGUERRE = "laguerre"
 # family is capped lower than the other two.
 ORDER_CAP = {LEGENDRE: 200, HERMITE: 200, LAGUERRE: 180}
 
-_CANONICAL_DOMAIN = {
-    LEGENDRE: (-1.0, 1.0),
-    HERMITE: (-math.inf, math.inf),
-    LAGUERRE: (0.0, math.inf),
-}
-
 _ROOTS = {
     LEGENDRE: roots_legendre,
     HERMITE: roots_hermite,
@@ -75,7 +69,6 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
 
     def __post_init__(self):
         for arr in (self.nodes, self.weights):
@@ -94,8 +87,7 @@ def _normalize_kind(kind):
 @lru_cache(maxsize=None)
 def _cached_rule(kind: str, n: int) -> QuadratureRule:
     x, w = _ROOTS[kind](n)
-    return QuadratureRule(kind, n, np.asarray(x, dtype=float),
-                          np.asarray(w, dtype=float), _CANONICAL_DOMAIN[kind])
+    return QuadratureRule(kind, n, np.asarray(x, dtype=float), np.asarray(w, dtype=float))
 
 
 def make_rule(kind, n: int) -> QuadratureRule:
@@ -139,8 +131,7 @@ def map_to_interval(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:
         raise QuadratureError(f"need a < b, got a={a!r}, b={b!r}")
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return QuadratureRule(LEGENDRE, rule.order, half * rule.nodes + mid,
-                          half * rule.weights, (a, b))
+    return QuadratureRule(LEGENDRE, rule.order, half * rule.nodes + mid, half * rule.weights)
 
 
 def _evaluate(f, x: np.ndarray) -> np.ndarray:

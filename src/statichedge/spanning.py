@@ -32,7 +32,6 @@ import numpy as np
 from .errors import SingularMaturityError, SpanningError, UndefinedPdlError
 from .models import (
     ModelSpec,
-    MjdParams,
     OptionRef,
     annualized_variance,
     call_marks,
@@ -122,14 +121,18 @@ class HedgePortfolio:
 @dataclass(frozen=True)
 class ModifiedWeightConfig:
     """Inner quadrature orders for the excluded-region integrals: a Legendre
-    rule below the band and a shifted Laguerre rule above it."""
+    rule below the band and a shifted Laguerre rule above it.  Each order
+    lies in ``[1, ORDER_CAP]`` of its rule."""
 
     n_inner_gq: int = 5
     n_laguerre: int = 20
 
     def __post_init__(self):
-        if self.n_inner_gq < 1 or self.n_laguerre < 1:
-            raise SpanningError("modified-weight quadrature orders must be >= 1")
+        for name, kind in (("n_inner_gq", LEGENDRE), ("n_laguerre", LAGUERRE)):
+            n = getattr(self, name)
+            if not 1 <= n <= ORDER_CAP[kind]:
+                raise SpanningError(f"{name}: {kind} order must lie in "
+                                    f"[1, {ORDER_CAP[kind]}], got {n!r}")
 
 
 def _require_call_target(target: OptionRef):
@@ -169,10 +172,7 @@ def hermite_strike_map(model: ModelSpec, K: float, T: float, u: float, n: int):
     if u >= T:
         raise SpanningError(f"need u < T, got u={u!r}, T={T!r}")
     tau = T - u
-    if isinstance(model, MjdParams):
-        var = annualized_variance(model)
-    else:
-        var = model.sigma ** 2
+    var = annualized_variance(model)
     spread = math.sqrt(2.0 * var * tau)
     drift = (model.delta_yield - model.r - 0.5 * var) * tau
     rule = make_rule(HERMITE, n)

@@ -218,6 +218,37 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _five_bands(data):
+    data["bands"] = [{"maturity": 0.1 * i, "lo": 80.0, "hi": 120.0} for i in range(5, 0, -1)]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_five_bands, "bands: GQn (methods[0]) spans at most 4 maturities, got 5"),
+    (lambda d: d["methods"][0].update(n=500),
+     "methods[0].n: GQn uses legendre rules of order <= 200, got 500"),
+    (lambda d: d.update(methods=[{"name": "GQn"}],
+                        sweep={"variable": "quad_points", "values": [4, 500]}),
+     "sweep.values: GQn uses legendre rules of order <= 200, got 500"),
+    (lambda d: d.update(modified_weight={"n_inner_gq": 500}),
+     "modified_weight: n_inner_gq: legendre order must lie in [1, 200], got 500"),
+    (lambda d: d.update(modified_weight={"n_laguerre": 190}),
+     "modified_weight: n_laguerre: laguerre order must lie in [1, 180], got 190"),
+])
+def test_quadrature_limit_in_a_config_is_config_error(tmp_path, capsys, mutate, message):
+    data = {
+        "model": {"type": "bs", "r": 0.06, "delta_yield": 0.0, "sigma": 0.27, "mu": 0.1},
+        "target": {"strike": 100.0, "maturity": 1.0, "spot": 100.0},
+        "methods": [{"name": "GQn", "n": 4}],
+        "bands": [{"maturity": 0.1587, "lo": 80.0, "hi": 120.0},
+                  {"maturity": 0.0833, "lo": 60.0, "hi": 120.0}],
+        "sweep": {"variable": "u2", "values": [0.0833]},
+    }
+    mutate(data)
+    cfg = _write_config(tmp_path, data)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -68,6 +68,8 @@ def test_parse_round_trip_minimal():
         (lambda d: d["target"].update(maturity=True), "target.maturity: expected float"),
         (lambda d: d["bands"][0].update(lo=True), "bands[0].lo: expected float"),
         (lambda d: d["model"].update(mu=True), "model.mu: expected float"),
+        (lambda d: d["model"].update(sigma="0.27"), "model.sigma: expected float, got '0.27'"),
+        (lambda d: d["target"].update(spot=" 100 "), "target.spot: expected float, got ' 100 '"),
         *((lambda d, name=name: d.update(methods=[{"name": name, "n": 4}], bands=[]),
            f"methods[0]: {name} requires") for name in ("CW_a", "CW_b", "GQ1", "GQn")),
         (lambda d: d.update(methods=[{"name": "GQ1", "n": 4}, {"name": "GQ2", "n": 4}]),
@@ -92,7 +94,7 @@ def test_simulation_block_validation():
         parse_config(data)
 
 
-@pytest.mark.parametrize("checkpoint", ["x", None, [], {}, True])
+@pytest.mark.parametrize("checkpoint", ["x", None, [], {}, True, "0.1"])
 def test_non_numeric_checkpoint_is_config_error(checkpoint):
     data = _small_simulation(_base_config())
     data["simulation"]["checkpoints"] = [checkpoint]
@@ -123,6 +125,8 @@ def _band_config(variable, value):
     (_jump_config, "lambda", -1.0, "lam must be >= 0"),
     (_jump_config, "sigma_j", 0.0, "sigma_j must be > 0"),
     (_band_config, "u1", True, "expected float"),
+    *((_band_config if var in ("u1", "u2") else _jump_config, var, "0.1", "expected float")
+      for var in ("u1", "u2", "lambda", "mu_j", "sigma_j")),
 ])
 def test_bad_sweep_value_is_config_error(make, variable, value, fragment):
     cfg = parse_config(make(variable, value))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from statichedge import (
     BsParams,
@@ -18,7 +19,7 @@ from statichedge import (
     strike_gamma_weight,
 )
 from statichedge import models
-from statichedge.models import mjd_series_terms
+from statichedge.models import TAU_FLOOR, mjd_series_terms
 
 from conftest import BS_TARGET_PRICE, MJD_TARGET_PRICE, MATURITY, SPOT, STRIKE, U1
 
@@ -238,7 +239,8 @@ def test_parameter_validation():
         OptionRef(strike=100.0, maturity=1.0, kind="straddle")
 
 
-def test_annualized_variance(mjd_model):
+def test_annualized_variance(bs_model, mjd_model):
+    assert annualized_variance(bs_model) == 0.27 ** 2
     assert annualized_variance(mjd_model) == pytest.approx(0.0734, abs=1e-12)
     no_jumps = MjdParams(r=0.06, delta_yield=0.0, sigma=0.31,
                          lam=0.0, mu_j=-0.1, sigma_j=0.13)
@@ -262,3 +264,64 @@ def test_vectorized_pricing_matches_scalar(bs_model, mjd_model):
         vec_k = strike_gamma_weight(model, 100.0, U1, K, MATURITY)
         for k, v in zip(K, vec_k):
             assert v == strike_gamma_weight(model, 100.0, U1, float(k), MATURITY)
+
+
+def _reference_kernels(model, S, t, K, T):
+    """Per-family closed forms ``(call, delta, gamma weight)`` on
+    pre-broadcast inputs: the Black-Scholes formula with its discounts on
+    the legs, and the jump model's Poisson series with the risk-free
+    discount outside the sum."""
+    Sa, Ka = np.broadcast_arrays(np.asarray(S, dtype=float), np.asarray(K, dtype=float))
+    tau = float(T) - float(t)
+    q = model.delta_yield
+
+    def npdf(x):
+        return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+
+    if isinstance(model, MjdParams):
+        probs, rns, sns = mjd_series_terms(model, tau)
+        st = sns * math.sqrt(tau)
+        d1 = (np.log(Sa[..., None] / Ka[..., None])
+              + (rns - q + 0.5 * sns ** 2) * tau) / st
+        disc = math.exp(-model.r * tau)
+        call = disc * (probs * (Sa[..., None] * np.exp((rns - q) * tau) * ndtr(d1)
+                                - Ka[..., None] * ndtr(d1 - st))).sum(axis=-1)
+        dlt = disc * (probs * np.exp((rns - q) * tau) * ndtr(d1)).sum(axis=-1)
+        gamma = disc * (probs * np.exp((rns - q) * tau) * npdf(d1)
+                        / (Sa[..., None] * st)).sum(axis=-1)
+    else:
+        st = model.sigma * math.sqrt(tau)
+        d1 = (np.log(Sa / Ka) + (model.r - q + 0.5 * model.sigma ** 2) * tau) / st
+        call = Sa * math.exp(-q * tau) * ndtr(d1) - Ka * math.exp(-model.r * tau) * ndtr(d1 - st)
+        dlt = math.exp(-q * tau) * ndtr(d1)
+        gamma = math.exp(-q * tau) * npdf(d1) / (Sa * st)
+    return call, dlt, gamma
+
+
+_KERNEL_MODELS = {
+    "bs": BsParams(r=0.06, delta_yield=0.03, sigma=0.27),
+    "mjd": MjdParams(r=0.06, delta_yield=0.02, sigma=0.14, lam=2.0, mu_j=-0.1, sigma_j=0.13),
+    "mjd_lam0": MjdParams(r=0.06, delta_yield=0.02, sigma=0.14, lam=0.0, mu_j=-0.1,
+                          sigma_j=0.13),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_MODELS))
+def test_kernels_are_bitwise_the_per_family_closed_forms(name):
+    model = _KERNEL_MODELS[name]
+    inputs = [
+        (100.0, 95.0),
+        (100.0, np.array([70.0, 100.0, 130.0])),
+        (np.array([80.0, 100.0, 125.0]), np.array([90.0, 100.0, 110.0])),
+        (np.array([[80.0], [100.0], [125.0]]), np.array([70.0, 100.0, 130.0, 160.0])),
+    ]
+    # the last horizon sits just above the intrinsic-value floor
+    times = [(0.0, 1.0), (0.3, 0.5), (0.5 - 2 * TAU_FLOOR, 0.5)]
+    for S, K in inputs:
+        for t, T in times:
+            assert T - t > TAU_FLOOR
+            expected = _reference_kernels(model, S, t, K, T)
+            for fn, ref in zip((call_price, delta, strike_gamma_weight), expected):
+                out = fn(model, S, t, K, T)
+                assert np.shape(out) == np.broadcast(S, K).shape
+                np.testing.assert_array_equal(out, ref)
