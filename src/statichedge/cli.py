@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import ConfigError, NumericalError
@@ -43,7 +44,10 @@ def _positive_int(text):
     return value
 
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on first use.  Parsing
+    leaves it unchanged: each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="statichedge",
         description="Static hedge construction and hedge-error experiments.",

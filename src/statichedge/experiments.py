@@ -31,6 +31,8 @@ lists.  ``bands`` may be empty or absent when only ``DH`` is configured;
 ``GQ2`` needs two, and ``GQn`` takes at most ``spanning.MAX_BANDS``.  Each
 quadrature order (``n``, a ``quad_points`` value, the ``modified_weight``
 orders) stays within ``quadrature.ORDER_CAP`` of the rule it sizes.
+``CW_a`` picks its own ladder order (the largest that fits its band) and
+ignores ``n``, which is still checked against the Hermite cap.
 ``hold_variance`` recomputes the diffusion vol while sweeping a jump
 parameter so the total annualized return variance stays fixed.  Only call
 targets are supported.  ``parse_config`` builds the simulation

@@ -16,12 +16,19 @@ function in its spot slot - the gamma bell that prices a long-dated call
 off a continuum of shorter-dated ones.
 
 All operations are pure, accept numpy arrays in the spot/strike slots
-(broadcasting them), and are safe for concurrent use.
+(broadcasting them), and are safe for concurrent use.  The jump series of
+each ``(params, tau)`` is computed once per process and kept in a bounded
+cache (``SERIES_CACHE_SIZE`` entries) on ``mjd_series_terms``: its arrays
+are read-only because every caller shares them, and the cache is
+thread-safe (two threads may compute one entry twice, with equal results).
+A series that fails to converge raises on every call; failures are not
+cached.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -51,6 +58,10 @@ TAU_FLOOR = 1e-10
 MIN_TERMS = 20
 PMF_CUTOFF = 1e-14
 MAX_TERMS = 180
+
+# Distinct (params, tau) series kept by ``mjd_series_terms``.  An entry holds
+# at most 3 x (MAX_TERMS + 1) floats, so a full cache stays below 5 MB.
+SERIES_CACHE_SIZE = 1024
 
 # Largest (spots x strikes x series terms) block that ``call_marks`` hands
 # to one ``call_price`` call, and largest block of uniforms that
@@ -143,7 +154,7 @@ class OptionRef:
 def _as_positive_pair(S, K):
     Sa, Ka = np.asarray(S, dtype=float), np.asarray(K, dtype=float)
     # Written so that NaN fails the comparison as well as zero and +-inf.
-    if not (np.all((Sa > 0.0) & (Sa < math.inf)) and np.all((Ka > 0.0) & (Ka < math.inf))):
+    if not (((Sa > 0.0) & (Sa < math.inf)).all() and ((Ka > 0.0) & (Ka < math.inf)).all()):
         raise DomainError("spot and strike must be finite and strictly positive")
     return Sa, Ka
 
@@ -163,15 +174,23 @@ def _tau_or_intrinsic(t, T):
     return tau
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def mjd_series_terms(params: MjdParams, tau: float):
     """Poisson-mixture terms (prob_n, r_n, sigma_n) for a horizon ``tau``.
 
     r_n absorbs the jump compensator and the conditional mean of ``n``
     jumps; sigma_n^2 adds the per-horizon jump variance.  Truncated at the
     first index >= MIN_TERMS whose Poisson mass falls below PMF_CUTOFF.
+    Cached per ``(params, tau)``; the returned arrays are read-only.
     """
     if params.lam == 0.0:
-        return np.array([1.0]), np.array([params.r]), np.array([params.sigma])
+        return _read_only(np.array([1.0]), np.array([params.r]), np.array([params.sigma]))
     lt = params.lam * tau
     lam_g = params.lam * params.g
     drift_per_jump = params.mu_j + 0.5 * params.sigma_j ** 2
@@ -192,7 +211,7 @@ def mjd_series_terms(params: MjdParams, tau: float):
                 f"(lam * tau = {lt:g})"
             )
         prob = prob * lt / n
-    return np.array(probs), np.array(rns), np.array(sns)
+    return _read_only(np.array(probs), np.array(rns), np.array(sns))
 
 
 def _mixture(model: ModelSpec, tau: float):
@@ -257,10 +276,10 @@ def call_marks(model: ModelSpec, S, t, pairs) -> dict:
         step = max(1, MAX_BLOCK // (max(Sa.size, 1) * terms))
         for lo in range(0, len(strikes), step):
             block = strikes[lo:lo + step]
-            prices = np.asarray(call_price(model, Sa[..., None], t, block, maturity))
-            for j, strike in enumerate(block):
-                mark = prices[..., j]
-                marks[strike, maturity] = float(mark) if Sa.ndim == 0 else mark
+            prices = call_price(model, Sa[..., None], t, block, maturity)
+            columns = prices.tolist() if Sa.ndim == 0 else np.moveaxis(prices, -1, 0)
+            for strike, mark in zip(block, columns):
+                marks[strike, maturity] = mark
     return marks
 
 

@@ -41,7 +41,6 @@ of the experiment config, which builds its ``SimConfig`` itself.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
@@ -383,9 +382,14 @@ def pfe_curves(errors: np.ndarray, levels=(95, 5)) -> dict:
 
 
 def write_errors_csv(path, times: np.ndarray, errors: np.ndarray):
-    """Dump an error matrix, one row per path, columns labeled by grid time."""
+    """Dump an error matrix, one row per path, columns labeled by grid time.
+
+    Cells are the ``repr`` of each value as a Python float, and rows end in
+    ``\\r\\n``: the bytes the ``csv`` module's default dialect writes for
+    these cells, none of which needs quoting.
+    """
+    header = ",".join(["path"] + [repr(t) for t in np.asarray(times, dtype=float).tolist()])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path"] + [repr(float(t)) for t in times])
-        for idx, row in enumerate(np.asarray(errors)):
-            writer.writerow([idx] + [repr(float(v)) for v in row])
+        fh.write(header + "\r\n")
+        fh.writelines(f"{idx},{','.join(map(repr, row))}\r\n"
+                      for idx, row in enumerate(np.asarray(errors, dtype=float).tolist()))

@@ -293,8 +293,8 @@ def _build_gq(model, target, S, bands, n, cfg, tag) -> HedgePortfolio:
         rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
         wt = _level_weight(model, target, rule.nodes, band.maturity, carry)
         legs.extend(
-            HedgeLeg(float(k), band.maturity, float(w))
-            for k, w in zip(rule.nodes, rule.weights * wt)
+            HedgeLeg(k, band.maturity, w)
+            for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())
         )
         if i + 1 < len(bands):
             carry = _excluded_mass(model, target, band, cfg, carry)

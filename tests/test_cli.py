@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statichedge import portfolio_from_csv
+from statichedge import cli, portfolio_from_csv
 from statichedge.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -82,6 +82,9 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert code == 0
     names = {p.name for p in (tmp_path / "o").iterdir()}
     assert {"report.csv", "stats.csv", "errors_DH.csv", "errors_GQ1.csv"} <= names
+    # the parser is shared across calls: --errors must not carry over
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    assert not list((tmp_path / "plain").glob("errors_*.csv"))
 
 
 def test_simulate_requires_simulation_block(tmp_path, capsys):
@@ -186,6 +189,15 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path, capsys, command, fl
         main([command, "--config", str(cfg), "--out", str(tmp_path), *flag])
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_survives_a_rejection(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--config", str(CONFIG_DIR / "table1.cfg"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert main(["price", "--config", str(CONFIG_DIR / "table1.cfg")]) == 0
+    assert capsys.readouterr().out.startswith("target_price=")
 
 
 def test_negative_seed_override_is_config_error(tmp_path, capsys):

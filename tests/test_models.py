@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ def test_call_marks_are_bitwise_per_pair_prices(request, model_name, monkeypatch
             expected = call_price(model, S, t, strike, maturity)
             assert np.array_equal(marks[strike, maturity], expected)
             assert type(marks[strike, maturity]) is type(expected)
+            if np.ndim(S) == 0:
+                assert type(marks[strike, maturity]) is float
     with pytest.raises(DomainError):
         call_marks(model, SPOT, MATURITY, pairs)
 
@@ -201,6 +204,46 @@ def test_mjd_series_cap_raises():
                       lam=400.0, mu_j=0.0, sigma_j=0.1)
     with pytest.raises(SeriesError):
         call_price(crazy, SPOT, 0.0, STRIKE, MATURITY)
+    # failures are not cached: every call raises again
+    for _ in range(2):
+        with pytest.raises(SeriesError):
+            mjd_series_terms(crazy, MATURITY)
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+def test_series_cache_shares_read_only_terms(mjd_model, lam):
+    first = replace(mjd_model, lam=lam)
+    twin = replace(mjd_model, lam=lam)
+    assert first == twin and first is not twin
+    terms = mjd_series_terms(first, U1)
+    # equal parameters built separately hit one cache entry
+    assert mjd_series_terms(twin, U1) is terms
+    for cached, fresh in zip(terms, mjd_series_terms.__wrapped__(first, U1)):
+        assert np.array_equal(cached, fresh) and cached.dtype == fresh.dtype
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    # both branches: the one-term lam == 0 case and the Poisson series
+    assert (len(terms[0]) == 1) == (lam == 0.0)
+
+
+def test_each_jump_kernel_call_asks_for_its_series_once(mjd_model, monkeypatch):
+    # The bench tracer counts series terms per call_price through this
+    # module attribute, so no cache may sit in front of it.
+    asked = []
+    real = models.mjd_series_terms
+
+    def counter(params, tau):
+        asked.append(tau)
+        return real(params, tau)
+
+    monkeypatch.setattr(models, "mjd_series_terms", counter)
+    for kernel, args in ((call_price, (SPOT, 0.0, STRIKE, MATURITY)),
+                         (delta, (SPOT, 0.0, STRIKE, MATURITY)),
+                         (strike_gamma_weight, (np.array([90.0, 110.0]), U1, STRIKE, MATURITY))):
+        asked.clear()
+        kernel(mjd_model, *args)
+        kernel(mjd_model, *args)
+        assert len(asked) == 2
 
 
 def test_intrinsic_at_expiry_and_domain_errors(bs_model):

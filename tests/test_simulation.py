@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -439,3 +440,22 @@ def test_write_errors_csv(tmp_path, bs_model, target):
     assert lines[0].startswith("path,0.0,")
     recovered = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
     assert np.array_equal(recovered, errors)
+
+
+def _csv_module_errors(path, times, errors):
+    """The ``csv.writer`` dump that ``write_errors_csv`` reproduces byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path"] + [repr(float(t)) for t in times])
+        for idx, row in enumerate(np.asarray(errors)):
+            writer.writerow([idx] + [repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("n_paths", [1, 12])
+def test_write_errors_csv_bytes_match_the_csv_module(tmp_path, n_paths):
+    times = np.arange(6) * STEP
+    errors = np.random.default_rng(8).normal(scale=2.0, size=(n_paths, 6))
+    errors[0, 1:] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    write_errors_csv(tmp_path / "fast.csv", times, errors)
+    _csv_module_errors(tmp_path / "ref.csv", times, errors)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -277,6 +277,9 @@ def test_gq2_band2_weights_are_rule_times_modified_weight(bs_model, mjd_model, t
         expected = rule.weights * modified_weight(model, target, rule.nodes, band1, U2, cfg)
         assert [leg.strike for leg in legs] == rule.nodes.tolist()
         assert [leg.weight for leg in legs] == expected.tolist()
+        # Python floats, so leg tables print the same repr
+        assert all(type(leg.strike) is float and type(leg.weight) is float
+                   for leg in portfolio.legs)
 
 
 def test_gq2_weights_nonnegative(bs_model, target):
