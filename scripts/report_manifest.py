@@ -9,7 +9,8 @@ writes to a temporary directory; ``bench/`` is only read.  Configs with
 a simulation block also run through ``simulate --errors``, ``pfe`` and
 ``sweep --threads 2 --seed 7`` (a second seed on a thread pool, so the
 per-model grouping of sweep values and the split of paths across threads
-are covered too).  Each call gets a fresh output directory, and the manifest lists the sha256 of
+are covered too); the others run through ``sweep --threads 2`` as well.
+Each call gets a fresh output directory, and the manifest lists the sha256 of
 every file written there and of the call's stdout (with the output
 directory replaced by ``<out>``), plus its exit code.  Two checkouts emit
 the same bytes exactly when their manifests are identical::
@@ -39,6 +40,8 @@ def _calls(config: Path):
     if "simulation" in json.loads(config.read_text()):
         calls += [("simulate-errors", ["simulate", "--errors"]), ("pfe", ["pfe"]),
                   ("sweep-threads2-seed7", ["sweep", "--threads", "2", "--seed", "7"])]
+    else:
+        calls.append(("sweep-threads2", ["sweep", "--threads", "2"]))
     return calls
 
 

@@ -51,7 +51,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +226,8 @@ def _parse_band(section, path):
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a config dict; raises ``ConfigError`` naming the bad field."""
+    """Validate a config dict, every sweep value included; raises
+    ``ConfigError`` naming the bad field."""
     if not isinstance(data, dict):
         raise ConfigError("config root: expected an object")
     model = _parse_model(data.get("model", {}))
@@ -326,9 +326,12 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"methods[{i}].n: required unless sweeping quad_points")
         if m.name == "DH" and sim is None:
             raise ConfigError(f"methods[{i}]: DH requires a simulation block")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         model, target, spot, tuple(methods), bands, sweep, mw_cfg, sim, checkpoints, data
     )
+    for value in sweep.values:
+        _resolve(cfg, value)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -337,9 +340,11 @@ def load_config(path) -> ExperimentConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{p}: cannot read config file ({exc})") from exc
     return parse_config(data)
 
 
@@ -372,9 +377,9 @@ class Report:
         return cls(data["variable"], rows, data["metadata"])
 
 
-def _value_context(cfg: ExperimentConfig, value):
-    """Resolve one sweep value to ``(model, per-method orders, portfolios)``,
-    building every static portfolio (all methods but DH) exactly once."""
+def _resolve(cfg: ExperimentConfig, value):
+    """Resolve one sweep value to ``(model, bands, per-method orders)``;
+    a bad value raises ``ConfigError``."""
     model = cfg.model
     bands = list(cfg.bands)
     orders = {m.name: m.n for m in cfg.methods}
@@ -414,30 +419,25 @@ def _value_context(cfg: ExperimentConfig, value):
                     f"sweep.values: jump variance exceeds hold_variance at {value!r}"
                 )
             model = replace(model, sigma=math.sqrt(resid))
-    static = [m.name for m in cfg.methods if m.name in _STATIC_METHODS]
     with _config_errors(""):
         check_band_order(bands, cfg.target)
-    if static and cfg.simulation is not None:
+    if cfg.simulation is not None and any(m.name in _STATIC_METHODS for m in cfg.methods):
         # The longest leg of every static portfolio expires at bands[0].
         with _config_errors("simulation."):
             _check_horizon(cfg.simulation.times[-1], cfg.target, [bands[0].maturity])
-    portfolios = {name: _STATIC_METHODS[name][2](model, cfg, bands, orders[name])
-                  for name in static}
+    return model, bands, orders
+
+
+def _value_context(cfg: ExperimentConfig, value):
+    """Resolve one sweep value to ``(model, per-method orders, portfolios)``,
+    building every static portfolio (all methods but DH) exactly once."""
+    model, bands, orders = _resolve(cfg, value)
+    portfolios = {m.name: _STATIC_METHODS[m.name][2](model, cfg, bands, orders[m.name])
+                  for m in cfg.methods if m.name in _STATIC_METHODS}
     return model, orders, portfolios
 
 
-def _block_errors(cfg, model, paths, portfolios, columns, rows) -> list:
-    """Errors at the grid ``columns`` on the paths ``rows``: the delta
-    hedge's (when DH is configured), then each portfolio's."""
-    block = PathSet(paths.times, paths.values[rows])
-    errors = static_hedge_runs(block, portfolios, model, columns)
-    if any(m.name == "DH" for m in cfg.methods):
-        errors.insert(0, delta_hedge_run(block, model, cfg.target, columns))
-    return errors
-
-
-def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, pmap=map,
-                     n_blocks: int = 1) -> list:
+def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads: int = 1) -> list:
     """Hedge errors of every method for each resolved sweep value.
 
     ``contexts`` holds ``_value_context`` results.  Returns one ``{method
@@ -448,26 +448,38 @@ def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, pmap=map,
     ``u1`` or ``u2`` sweep) form one group: one path set, one delta hedge
     and one static walk over all the group's portfolios, so every method
     and value of a group sees the same paths (common random numbers).
-    Both hedge runs go through ``pmap`` on ``n_blocks`` contiguous blocks
-    of paths; they are elementwise across paths, so the result does not
-    depend on the block count.
+    Both hedge runs split each group's paths into ``min(threads,
+    n_paths)`` contiguous blocks, on a thread pool when there is more than
+    one block; they are elementwise across paths, so the result does not
+    depend on ``threads``.
     """
+    has_dh = any(m.name == "DH" for m in cfg.methods)
     groups = {}
     for index, (model, _, _) in enumerate(contexts):
         groups.setdefault(model, []).append(index)
+    n = cfg.simulation.n_paths
+    k = min(threads, n)
+    blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
     out = [None] * len(contexts)
-    for model, indices in groups.items():
-        paths = simulate_paths(model, cfg.simulation)
-        portfolios = [p for i in indices for p in contexts[i][2].values()]
-        n = paths.n_paths
-        k = min(n_blocks, n)
-        blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
-        run = partial(_block_errors, cfg, model, paths, portfolios, columns)
-        errors = iter([np.concatenate(part) for part in zip(*pmap(run, blocks))])
-        dh = next(errors) if any(m.name == "DH" for m in cfg.methods) else None
-        for i in indices:
-            static = {name: next(errors) for name in contexts[i][2]}
-            out[i] = {m.name: dh if m.name == "DH" else static[m.name] for m in cfg.methods}
+    with ThreadPoolExecutor(max_workers=k) if k > 1 else nullcontext() as pool:
+        pmap = pool.map if pool else map
+        for model, indices in groups.items():
+            paths = simulate_paths(model, cfg.simulation)
+            portfolios = [p for i in indices for p in contexts[i][2].values()]
+
+            def run(rows):
+                # The delta hedge's errors first (when configured), then each portfolio's.
+                block = PathSet(paths.times, paths.values[rows])
+                errors = static_hedge_runs(block, portfolios, model, columns)
+                if has_dh:
+                    errors.insert(0, delta_hedge_run(block, model, cfg.target, columns))
+                return errors
+
+            errors = iter([np.concatenate(part) for part in zip(*pmap(run, blocks))])
+            dh = next(errors) if has_dh else None
+            for i in indices:
+                static = {name: next(errors) for name in contexts[i][2]}
+                out[i] = {m.name: dh if m.name == "DH" else static[m.name] for m in cfg.methods}
     return out
 
 
@@ -496,24 +508,21 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Evaluate every sweep value; rows keep the config's value order and
     the result is independent of ``threads``.
 
-    Every value is resolved and built first (in parallel over values);
+    Every value is resolved and built on the calling thread;
     ``simulate_methods`` then hedges every value at the checkpoint
-    columns, in parallel over blocks of paths.
+    columns, splitting each group's paths into ``threads`` blocks.
     """
     values = list(cfg.sweep.values)
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        pmap = pool.map if pool else map
-        contexts = list(pmap(lambda v: _value_context(cfg, v), values))
-        rows = [_inception_row(cfg, value, orders, portfolios)
-                for value, (_, orders, portfolios) in zip(values, contexts)]
-        if cfg.simulation is not None:
-            columns = [grid_index("checkpoints", c, cfg.simulation.step)
-                       for c in cfg.checkpoints]
-            for row, errors in zip(rows, simulate_methods(cfg, contexts, columns, pmap, threads)):
-                for name, matrix in errors.items():
-                    row.methods.setdefault(name, {})["stats"] = [
-                        {"time": c, **summarize(matrix[:, j]).to_dict()}
-                        for j, c in enumerate(cfg.checkpoints)]
+    contexts = [_value_context(cfg, value) for value in values]
+    rows = [_inception_row(cfg, value, orders, portfolios)
+            for value, (_, orders, portfolios) in zip(values, contexts)]
+    if cfg.simulation is not None:
+        columns = [grid_index("checkpoints", c, cfg.simulation.step) for c in cfg.checkpoints]
+        for row, errors in zip(rows, simulate_methods(cfg, contexts, columns, threads)):
+            for name, matrix in errors.items():
+                row.methods.setdefault(name, {})["stats"] = [
+                    {"time": c, **summarize(matrix[:, j]).to_dict()}
+                    for j, c in enumerate(cfg.checkpoints)]
     metadata = {
         "package": "statichedge",
         "version": __version__,
@@ -528,15 +537,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
         "config": cfg.raw,
     }
     return Report(cfg.sweep.variable, rows, metadata)
-
-
-def _method_names(report: Report):
-    names = []
-    for row in report.rows:
-        for name in row.methods:
-            if name not in names:
-                names.append(name)
-    return names
 
 
 def _scalar_x(row, index):
@@ -555,7 +555,7 @@ def emit(report: Report, format: str, out_dir) -> list:
         raise ConfigError("cannot emit an empty report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = _method_names(report)
+    names = list(report.rows[0].methods)
     if format == "json":
         path = out / "report.json"
         path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")

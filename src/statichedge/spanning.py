@@ -422,7 +422,9 @@ def portfolio_to_csv(portfolio: HedgePortfolio, path):
 
 
 def portfolio_from_csv(path) -> HedgePortfolio:
-    """Inverse of ``portfolio_to_csv``."""
+    """Inverse of ``portfolio_to_csv``.  A missing, non-numeric or
+    non-finite number, or a strike, maturity or spot <= 0, raises
+    ``SpanningError`` naming the file and the row or header field."""
     meta = {}
     legs = []
     with open(path) as fh:
@@ -440,19 +442,34 @@ def portfolio_from_csv(path) -> HedgePortfolio:
                 raise SpanningError(
                     f"portfolio file {path}: malformed leg row {line!r}"
                 ) from exc
+            # Written so that NaN fails the comparisons too.
+            if not (0.0 < maturity < math.inf and 0.0 < strike < math.inf
+                    and math.isfinite(weight)):
+                raise SpanningError(f"portfolio file {path}: leg row {line!r} needs a finite "
+                                    "maturity and strike > 0 and a finite weight")
             legs.append(HedgeLeg(strike, maturity, weight))
-    try:
-        target = OptionRef(
-            strike=float(meta["target_strike"]),
-            maturity=float(meta["target_maturity"]),
-            kind=meta.get("target_kind", "call"),
-        )
-        return HedgePortfolio(
-            target=target,
-            spot=float(meta["spot"]),
-            legs=tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike))),
-            b0=float(meta["b0"]),
-            method_tag=meta.get("method_tag", "unknown"),
-        )
-    except KeyError as exc:
-        raise SpanningError(f"portfolio file {path} missing header field {exc}") from exc
+
+    def header(key, positive=True):
+        if key not in meta:
+            raise SpanningError(f"portfolio file {path} missing header field {key!r}")
+        try:
+            value = float(meta[key])
+        except ValueError:
+            value = math.nan  # not a number: rejected below
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            raise SpanningError(f"portfolio file {path}: header field {key}={meta[key]!r} "
+                                f"must be finite{' and > 0' if positive else ''}")
+        return value
+
+    target = OptionRef(
+        strike=header("target_strike"),
+        maturity=header("target_maturity"),
+        kind=meta.get("target_kind", "call"),
+    )
+    return HedgePortfolio(
+        target=target,
+        spot=header("spot"),
+        legs=tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike))),
+        b0=header("b0", positive=False),
+        method_tag=meta.get("method_tag", "unknown"),
+    )

@@ -124,6 +124,34 @@ def test_exit_code_for_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+# a directory, and a file that is not UTF-8
+@pytest.mark.parametrize("write", [lambda path: path.mkdir(),
+                                   lambda path: path.write_bytes(b'{"model": "\xff"}')])
+def test_unreadable_config_is_config_error(tmp_path, capsys, write):
+    path = tmp_path / "exp.cfg"
+    write(path)
+    assert main(["price", "--config", str(path)]) == 2
+    assert f"config error: {path}: cannot read config file" in capsys.readouterr().err
+
+
+def _extra_sweep_value(name, value):
+    data = json.loads((CONFIG_DIR / name).read_text())
+    data["sweep"]["values"].append(value)
+    return data
+
+
+@pytest.mark.parametrize("command", ["price", "build"])
+@pytest.mark.parametrize("name, value, message", [
+    ("table1.cfg", 500, "sweep.values: CW_b uses hermite rules of order <= "),
+    ("table9.cfg", 5.0, "sweep.values: jump variance exceeds hold_variance at 5.0"),
+])
+def test_price_and_build_reject_a_bad_later_sweep_value(tmp_path, capsys, command, name,
+                                                        value, message):
+    cfg = _write_config(tmp_path, _extra_sweep_value(name, value))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("step", 0.0), ("step", -1 / 252), ("seed", -1), ("n_paths", 1),
 ])

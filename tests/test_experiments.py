@@ -1,4 +1,5 @@
 import json
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -129,8 +130,8 @@ def _band_config(variable, value):
       for var in ("u1", "u2", "lambda", "mu_j", "sigma_j")),
 ])
 def test_bad_sweep_value_is_config_error(make, variable, value, fragment):
-    cfg = parse_config(make(variable, value))
     with pytest.raises(ConfigError, match=f"sweep.values: {fragment}"):
+        cfg = parse_config(make(variable, value))
         run_experiment(cfg)
 
 
@@ -315,6 +316,14 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
     blobs = {json.dumps(run_experiment(cfg, threads=t).to_dict(), sort_keys=True)
              for t in (1, 2, 4)}
     assert len(blobs) == 1
+    # Two model groups plus DH: the path-block split leaves every matrix bitwise equal.
+    contexts = [experiments._value_context(cfg, value) for value in cfg.sweep.values]
+    runs = [experiments.simulate_methods(cfg, contexts, threads=t) for t in (1, 2, 4)]
+    assert len({model for model, _, _ in contexts}) == 2
+    for run in runs[1:]:
+        for errors, expected in zip(run, runs[0]):
+            assert list(errors) == ["DH", "CW_b", "GQ1"]
+            assert all(errors[name].tobytes() == expected[name].tobytes() for name in errors)
     report = json.loads(blobs.pop())
     columns = [round(c / cfg.simulation.step) for c in cfg.checkpoints]
     for value, row in zip(cfg.sweep.values, report["rows"]):
@@ -323,6 +332,21 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
                         for c, j in zip(cfg.checkpoints, columns)]
                  for name, err in errors.items()}
         assert {name: info["stats"] for name, info in row["methods"].items()} == stats
+
+
+def test_sweep_values_build_on_the_calling_thread(monkeypatch):
+    callers = []
+    build = experiments.build_gq1
+
+    def recording_build(*args, **kwargs):
+        callers.append(threading.get_ident())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_gq1", recording_build)
+    data = _small_simulation(_base_config(), n_paths=4)
+    data["sweep"] = {"variable": "quad_points", "values": [4, 8]}
+    run_experiment(parse_config(data), threads=4)
+    assert callers == [threading.get_ident()] * 2
 
 
 def test_sweeping_into_the_maturity_guard_is_numerical_error():

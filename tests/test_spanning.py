@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -436,6 +437,36 @@ def test_portfolio_csv_round_trip(bs_model, target, tmp_path):
     portfolio_to_csv(portfolio, path)
     loaded = portfolio_from_csv(path)
     assert loaded == portfolio
+    # bitwise, not just ==: the file keeps every float's exact bits
+    assert [(leg.strike.hex(), leg.maturity.hex(), leg.weight.hex()) for leg in loaded.legs] == [
+        (leg.strike.hex(), leg.maturity.hex(), leg.weight.hex()) for leg in portfolio.legs]
+    assert (loaded.b0.hex(), loaded.spot.hex()) == (portfolio.b0.hex(), portfolio.spot.hex())
+
+
+_PORTFOLIO_HEADER = {"target_strike": "100.0", "target_maturity": "1.0", "spot": "100.0",
+                     "b0": "0.5"}
+
+
+@pytest.mark.parametrize("header, row, fragment", [
+    ({}, "0.1,nan,1.0", "leg row '0.1,nan,1.0'"),
+    ({}, "0.1,-5,1.0", "leg row '0.1,-5,1.0'"),
+    ({}, "0.0,100.0,1.0", "leg row '0.0,100.0,1.0'"),
+    ({}, "0.1,100.0,inf", "leg row '0.1,100.0,inf'"),
+    ({}, "inf,100.0,1.0", "leg row 'inf,100.0,1.0'"),
+    ({"spot": "nan"}, "0.1,100.0,1.0", "header field spot='nan' must be finite and > 0"),
+    ({"spot": "abc"}, "0.1,100.0,1.0", "header field spot='abc' must be finite and > 0"),
+    ({"spot": "-1.0"}, "0.1,100.0,1.0", "header field spot='-1.0' must be finite and > 0"),
+    ({"b0": "inf"}, "0.1,100.0,1.0", "header field b0='inf' must be finite"),
+    ({"target_strike": "0"}, "0.1,100.0,1.0", "header field target_strike='0'"),
+    ({"target_maturity": "x"}, "0.1,100.0,1.0", "header field target_maturity='x'"),
+])
+def test_portfolio_csv_rejects_bad_numbers(tmp_path, header, row, fragment):
+    path = tmp_path / "bad.csv"
+    lines = [f"# {key}={value}" for key, value in {**_PORTFOLIO_HEADER, **header}.items()]
+    path.write_text("\n".join(lines + ["maturity,strike,weight", row]) + "\n")
+    with pytest.raises(SpanningError, match=f"portfolio file {re.escape(str(path))}: "
+                                           f"{re.escape(fragment)}"):
+        portfolio_from_csv(path)
 
 
 def test_portfolio_csv_missing_header(tmp_path):
