@@ -10,6 +10,8 @@ a simulation block also run through ``simulate --errors``, ``pfe`` and
 ``sweep --threads 2 --seed 7`` (a second seed on a thread pool, so the
 per-model grouping of sweep values and the split of paths across threads
 are covered too); the others run through ``sweep --threads 2`` as well.
+``table5.cfg`` also runs ``simulate --errors`` with a seed of three 32-bit
+words (2^64 + 3), so the per-path seeding of multi-word seeds is covered.
 Each call gets a fresh output directory, and the manifest lists the sha256 of
 every file written there and of the call's stdout (with the output
 directory replaced by ``<out>``), plus its exit code.  Two checkouts emit
@@ -42,6 +44,9 @@ def _calls(config: Path):
                   ("sweep-threads2-seed7", ["sweep", "--threads", "2", "--seed", "7"])]
     else:
         calls.append(("sweep-threads2", ["sweep", "--threads", "2"]))
+    if config.name == "table5.cfg":
+        calls.append(("simulate-errors-seed2^64+3",
+                      ["simulate", "--errors", "--seed", str(2 ** 64 + 3)]))
     return calls
 
 

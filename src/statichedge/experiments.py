@@ -555,7 +555,10 @@ def emit(report: Report, format: str, out_dir) -> list:
         raise ConfigError("cannot emit an empty report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = list(report.rows[0].methods)
+    # the config's method order; a JSON read-back holds the rows' methods sorted
+    config_methods = report.metadata.get("config", {}).get("methods")
+    names = ([m["name"] for m in config_methods] if config_methods
+             else list(report.rows[0].methods))
     if format == "json":
         path = out / "report.json"
         path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")

@@ -53,11 +53,16 @@ __all__ = [
 # collapse to intrinsic value.
 TAU_FLOOR = 1e-10
 
-# Poisson series truncation: stop at the first term index >= MIN_TERMS whose
-# probability mass drops below PMF_CUTOFF; refuse to sum past MAX_TERMS.
+# Poisson series truncation: stop at the first term index >= MIN_TERMS past
+# both legs' Poisson means where both legs' masses drop below PMF_CUTOFF;
+# refuse to sum past MAX_TERMS.
 MIN_TERMS = 20
 PMF_CUTOFF = 1e-14
 MAX_TERMS = 180
+# Largest spot-leg growth exponent (r_n - q) tau a series term may carry: its
+# discount e^{(r_n - q) tau} times any plausible spot stays finite, where a
+# larger one overflows to inf and turns the term into NaN.
+MAX_SPOT_EXPONENT = 600.0
 
 # Distinct (params, tau) series kept by ``mjd_series_terms``.  An entry holds
 # at most 3 x (MAX_TERMS + 1) floats, so a full cache stays below 5 MB.
@@ -185,32 +190,48 @@ def mjd_series_terms(params: MjdParams, tau: float):
     """Poisson-mixture terms (prob_n, r_n, sigma_n) for a horizon ``tau``.
 
     r_n absorbs the jump compensator and the conditional mean of ``n``
-    jumps; sigma_n^2 adds the per-horizon jump variance.  Truncated at the
-    first index >= MIN_TERMS whose Poisson mass falls below PMF_CUTOFF.
-    Cached per ``(params, tau)``; the returned arrays are read-only.
+    jumps; sigma_n^2 adds the per-horizon jump variance.  The two legs of a
+    call weight term ``n`` by different Poisson pmfs: the strike leg by
+    prob_n, the Poisson(lam tau) pmf, and the spot leg by prob_n e^{(r_n -
+    r) tau} = e^{-lam g tau} (1 + g)^n prob_n, the Poisson(lam (1 + g) tau)
+    pmf.  The series stops at the first index >= MIN_TERMS that is past
+    both means and where both pmfs have fallen below PMF_CUTOFF, so the
+    mass left out of either leg is negligible; past MAX_TERMS it raises
+    ``SeriesError``, and so does a series whose spot-leg exponent
+    (r_n - q) tau passes MAX_SPOT_EXPONENT.  Cached per ``(params, tau)``;
+    the returned arrays are read-only.
     """
     if params.lam == 0.0:
         return _read_only(np.array([1.0]), np.array([params.r]), np.array([params.sigma]))
     lt = params.lam * tau
+    lt_spot = lt * (1.0 + params.g)
     lam_g = params.lam * params.g
     drift_per_jump = params.mu_j + 0.5 * params.sigma_j ** 2
     probs, rns, sns = [], [], []
     prob = math.exp(-lt)
+    prob_spot = math.exp(-lt_spot)
     n = 0
     while True:
         probs.append(prob)
         rns.append(params.r - lam_g + n * drift_per_jump / tau)
         sns.append(math.sqrt(params.sigma ** 2 + n * params.sigma_j ** 2 / tau))
         n += 1
-        # only stop once past the Poisson mode, where the pmf is decreasing
-        if n >= MIN_TERMS and n > lt and prob < PMF_CUTOFF:
+        # only stop once past both Poisson modes, where both pmfs are decreasing
+        if n >= MIN_TERMS and n > max(lt, lt_spot) and max(prob, prob_spot) < PMF_CUTOFF:
             break
         if n > MAX_TERMS:
             raise SeriesError(
                 f"jump series not converged after {MAX_TERMS} terms "
-                f"(lam * tau = {lt:g})"
+                f"(lam * tau = {lt:g}, lam * (1 + g) * tau = {lt_spot:g})"
             )
         prob = prob * lt / n
+        prob_spot = prob_spot * lt_spot / n
+    # r_n is linear in n, so its largest value is at an end of the series
+    if (max(rns[0], rns[-1]) - params.delta_yield) * tau > MAX_SPOT_EXPONENT:
+        raise SeriesError(
+            f"jump series spot-leg discount exceeds e^{MAX_SPOT_EXPONENT:g} "
+            f"over {len(rns)} terms (log(1 + g) = {drift_per_jump:g})"
+        )
     return _read_only(np.array(probs), np.array(rns), np.array(sns))
 
 

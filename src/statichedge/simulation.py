@@ -3,14 +3,18 @@
 Paths are simulated under the real-world drift ``mu`` with exact-in-
 distribution stepping (log-normal increments; under jump diffusion plus a
 Poisson number of normal log-jumps per step).  Reproducibility contract:
-every path draws from its own substream spawned from ``(seed, path index)``,
-normals come from the inverse normal cdf applied to uniforms, and jump
-counts from Poisson inversion - so results are bit-identical across runs
-and independent of any outer parallelism.  Each path takes all its
-uniforms from its substream in one draw, in the fixed order diffusion,
-jump count, jump size; the transforms then run on blocks of paths as
-array operations, which gives every path bitwise the values a one-path-
-at-a-time loop computes.
+path ``i`` draws from exactly the generator
+``PCG64(SeedSequence(seed).spawn(n_paths)[i])``, normals come from the
+inverse normal cdf applied to uniforms, and jump counts from Poisson
+inversion - so results are bit-identical across runs and independent of
+any outer parallelism.  The paths' generator states are derived in one
+vectorized pass per block of paths (``_path_states``: numpy's
+``SeedSequence`` spawn and ``PCG64`` seeding, replayed on arrays), and
+the tests pin them to numpy's own.  Each path takes all its uniforms from
+its generator in one draw, in the fixed order diffusion, jump count, jump
+size; the transforms then run on blocks of paths as array operations,
+which gives every path bitwise the values a one-path-at-a-time loop
+computes.
 
 Hedge evolution marks everything under the risk-neutral parameters:
 
@@ -71,6 +75,15 @@ __all__ = [
 MAX_JUMPS_PER_STEP = 64
 
 _GRID_TOL = 1e-9
+
+# numpy's SeedSequence hashing constants and PCG64's 128-bit LCG multiplier
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 def grid_index(name: str, t: float, step: float) -> int:
@@ -154,6 +167,51 @@ def _poisson_inverse(u: np.ndarray, lam_h: float) -> np.ndarray:
     return counts
 
 
+def _hashmix(values: np.ndarray, const: int, mult: int) -> tuple:
+    """One SeedSequence hash step on ``uint32`` ``values``: returns the
+    hashed values and the advanced hash constant."""
+    advanced = const * mult & _MASK32
+    hashed = (values ^ np.uint32(const)) * np.uint32(advanced)
+    return hashed ^ hashed >> np.uint32(16), advanced
+
+
+def _path_states(seed: int, lo: int, hi: int):
+    """Yield the ``PCG64`` states of paths ``lo .. hi - 1``: path ``i`` gets
+    bitwise ``PCG64(SeedSequence(seed).spawn(n)[i]).state`` for any
+    ``n > i``.
+
+    A spawned child hashes the parent's entropy and then its spawn key
+    ``i``, so its pool is the parent's pool with the key mixed in.  That
+    last mix and ``generate_state(4, uint64)`` run on a ``uint32`` array
+    over the block's keys; the hash constant reaches the key after 4 + 12
+    steps, plus 4 per entropy word past the pool (seeds >= 2^128).  PCG64
+    then seeds its 128-bit LCG from the four words with Python ints, one
+    path at a time, so a block never holds all its state dicts at once.
+    """
+    seed = int(seed)
+    pool = np.random.SeedSequence(seed).pool
+    words = max(1, -(-seed.bit_length() // 32))
+    steps = _POOL_SIZE * (_POOL_SIZE + max(0, words - _POOL_SIZE))
+    const = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+    keys = np.arange(lo, hi, dtype=np.uint32)
+    mixer = np.empty((hi - lo, _POOL_SIZE), dtype=np.uint32)
+    out = np.empty((hi - lo, 2 * _POOL_SIZE), dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        for d in range(_POOL_SIZE):
+            hashed, const = _hashmix(keys, const, _MULT_A)
+            mixed = np.uint32(_MIX_MULT_L) * pool[d] - np.uint32(_MIX_MULT_R) * hashed
+            mixer[:, d] = mixed ^ mixed >> np.uint32(16)
+        const = _INIT_B
+        for k in range(2 * _POOL_SIZE):
+            out[:, k], const = _hashmix(mixer[:, k % _POOL_SIZE], const, _MULT_B)
+    for row in out.astype("<u4").view("<u8").astype(np.uint64):
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
     """Simulate spot paths under the real-world drift ``model.mu``.
 
@@ -164,12 +222,15 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
     With ``lam == 0`` the jump model consumes extra uniforms but produces
     bit-identical path values to the GBM simulator.
 
-    Path ``i`` draws all its uniforms in one call on its own substream:
-    the diffusion uniforms of every step, then (jump model) the Poisson
-    uniforms, then the jump-size uniforms.  The transforms run on blocks
-    of paths holding at most ``MAX_BLOCK`` uniforms (or one path), and
-    every step is elementwise or a per-row running sum, so each path is
-    bitwise the one a per-path loop computes.
+    Path ``i`` draws all its uniforms in one call on exactly the generator
+    ``PCG64(SeedSequence(cfg.seed).spawn(cfg.n_paths)[i])``: the diffusion
+    uniforms of every step, then (jump model) the Poisson uniforms, then
+    the jump-size uniforms.  One ``PCG64`` is reseeded per path from
+    ``_path_states``, which derives a block's states in one vectorized
+    pass.  The transforms run on blocks of paths holding at most
+    ``MAX_BLOCK`` uniforms (or one path), and every step is elementwise
+    or a per-row running sum, so each path is bitwise the one a per-path
+    loop computes.
     """
     n_steps = cfg.n_steps
     h = cfg.step
@@ -183,13 +244,15 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
     draws = 3 if jump else 1
     values = np.empty((cfg.n_paths, n_steps + 1))
     values[:, 0] = cfg.spot0
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)
+    bitgen = np.random.PCG64(0)
+    generator = np.random.Generator(bitgen)
     rows = max(1, MAX_BLOCK // (draws * n_steps))
     for lo in range(0, cfg.n_paths, rows):
-        block = children[lo:lo + rows]
-        u = np.empty((len(block), draws, n_steps))
-        for child, out in zip(block, u):
-            np.random.Generator(np.random.PCG64(child)).random(out=out)
+        hi = min(lo + rows, cfg.n_paths)
+        u = np.empty((hi - lo, draws, n_steps))
+        for state, out in zip(_path_states(cfg.seed, lo, hi), u):
+            bitgen.state = state
+            generator.random(out=out)
         log_increments = drift + model.sigma * sqrt_h * ndtri(u[:, 0])
         if jump:
             counts = _poisson_inverse(u[:, 1], lam_h)
@@ -198,7 +261,7 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
                 counts * model.mu_j + model.sigma_j * np.sqrt(counts) * z_jump
             )
         growth = np.exp(np.cumsum(log_increments, axis=1))
-        np.multiply(cfg.spot0, growth, out=values[lo:lo + len(block), 1:])
+        np.multiply(cfg.spot0, growth, out=values[lo:hi, 1:])
     return PathSet(cfg.times, values)
 
 
@@ -232,11 +295,12 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
 
     Self-financing recursion ``V_i = D_{i-1} S_i + (V_{i-1} - D_{i-1}
     S_{i-1}) e^{r h}`` started from the target price, with the greek and
-    all marks under the risk-neutral parameters.  Returns an
-    (n_paths, len(columns)) matrix, column ``j`` holding ``e^{-r t_i} (V_i
-    - C(S_i, t_i))`` at grid index ``i = columns[j]`` (default: every grid
-    time); grid index 0 is identically zero.  The recursion runs at every
-    step, but the target is marked only at the returned grid times.
+    all marks under the risk-neutral parameters; the inception price and
+    delta are taken once at ``S[0, 0]``, where every path starts.  Returns
+    an (n_paths, len(columns)) matrix, column ``j`` holding ``e^{-r t_i}
+    (V_i - C(S_i, t_i))`` at grid index ``i = columns[j]`` (default: every
+    grid time); grid index 0 is identically zero.  The recursion runs at
+    every step, but the target is marked only at the returned grid times.
     """
     times = paths.times
     _check_horizon(times[-1], target)
@@ -247,7 +311,9 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
     V = np.full(paths.n_paths, call_price(model, S[0, 0], 0.0, target.strike, target.maturity))
     for i in range(1, len(times)):
         h = times[i] - times[i - 1]
-        d_prev = delta(model, S[:, i - 1], times[i - 1], target.strike, target.maturity)
+        # every path starts at S[0, 0], so the inception delta is one scalar
+        spots = S[0, 0] if i == 1 else S[:, i - 1]
+        d_prev = delta(model, spots, times[i - 1], target.strike, target.maturity)
         V = d_prev * S[:, i] + (V - d_prev * S[:, i - 1]) * math.exp(r * h)
         if i in slots:
             marks = call_price(model, S[:, i], times[i], target.strike, target.maturity)
@@ -355,9 +421,10 @@ def summarize(errors: np.ndarray) -> HedgeErrorStats:
     else:
         skew = float(np.mean(centered ** 3) / m2 ** 1.5)
         kurt = float(np.mean(centered ** 4) / m2 ** 2 - 3.0)
+    p95, p05 = np.percentile(e, [95, 5]).tolist()
     return HedgeErrorStats(
-        p95=float(np.percentile(e, 95)),
-        p05=float(np.percentile(e, 5)),
+        p95=p95,
+        p05=p05,
         rmse=float(np.sqrt(np.mean(e ** 2))),
         mean=mean,
         mae=float(np.mean(np.abs(e))),

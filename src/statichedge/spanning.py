@@ -423,8 +423,9 @@ def portfolio_to_csv(portfolio: HedgePortfolio, path):
 
 def portfolio_from_csv(path) -> HedgePortfolio:
     """Inverse of ``portfolio_to_csv``.  A missing, non-numeric or
-    non-finite number, or a strike, maturity or spot <= 0, raises
-    ``SpanningError`` naming the file and the row or header field."""
+    non-finite number, a strike, maturity or spot <= 0, or a target kind
+    other than call or put raises ``SpanningError`` naming the file and
+    the row or header field."""
     meta = {}
     legs = []
     with open(path) as fh:
@@ -461,10 +462,14 @@ def portfolio_from_csv(path) -> HedgePortfolio:
                                 f"must be finite{' and > 0' if positive else ''}")
         return value
 
+    kind = meta.get("target_kind", "call")
+    if kind not in ("call", "put"):
+        raise SpanningError(f"portfolio file {path}: header field target_kind={kind!r} "
+                            "must be 'call' or 'put'")
     target = OptionRef(
         strike=header("target_strike"),
         maturity=header("target_maturity"),
-        kind=meta.get("target_kind", "call"),
+        kind=kind,
     )
     return HedgePortfolio(
         target=target,

@@ -201,6 +201,20 @@ def test_emit_json_round_trip(tmp_path):
     assert parsed.to_dict() == report.to_dict()
 
 
+def test_emit_of_a_json_read_back_keeps_the_config_method_order(tmp_path):
+    report = run_experiment(load_config(CONFIG_DIR / "table5.cfg"))
+    (path,) = emit(report, "json", tmp_path / "json")
+    parsed = Report.from_dict(json.loads(path.read_text()))
+    assert list(parsed.rows[0].methods) != list(report.rows[0].methods)  # sorted on disk
+    for fmt in ("csv", "plot"):
+        direct = emit(report, fmt, tmp_path / fmt / "direct")
+        read_back = emit(parsed, fmt, tmp_path / fmt / "read_back")
+        assert [p.name for p in direct] == [p.name for p in read_back]
+        for a, b in zip(direct, read_back):
+            assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "csv" / "direct" / "report.csv").exists()
+
+
 def test_emit_csv_single_row(tmp_path):
     data = _base_config()
     data["sweep"]["values"] = [7]

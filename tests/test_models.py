@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -12,6 +13,7 @@ from statichedge import (
     MjdParams,
     OptionRef,
     SeriesError,
+    StaticHedgeError,
     annualized_variance,
     call_marks,
     call_price,
@@ -210,6 +212,21 @@ def test_mjd_series_cap_raises():
             mjd_series_terms(crazy, MATURITY)
 
 
+def test_mjd_series_covers_the_mass_of_both_legs():
+    # g > 0: the spot leg's Poisson(lam (1 + g) tau) mean is 11.1 at lam tau = 0.69
+    model = MjdParams(r=0.05, delta_yield=0.0, sigma=0.2, lam=0.69, mu_j=0.11, sigma_j=2.31)
+    probs, rns, _ = mjd_series_terms(model, 1.0)
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-13)
+    assert math.fsum(probs * np.exp(rns - model.r)) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_mjd_series_refuses_spot_legs_past_the_float_range():
+    # summing to the spot leg's tail would need e^{(r_n - q) tau} beyond e^600
+    wild = MjdParams(r=0.05, delta_yield=0.0, sigma=0.15, lam=0.19, mu_j=2.32, sigma_j=2.51)
+    with pytest.raises(SeriesError, match="spot-leg discount"):
+        call_price(wild, SPOT, 0.0, STRIKE, 1.87)
+
+
 @pytest.mark.parametrize("lam", [0.0, 2.0])
 def test_series_cache_shares_read_only_terms(mjd_model, lam):
     first = replace(mjd_model, lam=lam)
@@ -368,3 +385,38 @@ def test_kernels_are_bitwise_the_per_family_closed_forms(name):
                 out = fn(model, S, t, K, T)
                 assert np.shape(out) == np.broadcast(S, K).shape
                 np.testing.assert_array_equal(out, ref)
+
+
+# The wide box of jump models on which the series must either converge or
+# raise: diffusion vol to 10, intensity to 300, |mu_j| and sigma_j to 3.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(0.01, 10.0), lam=st.floats(0.0, 300.0), mu_j=st.floats(-3.0, 3.0),
+       sigma_j=st.floats(0.01, 3.0), T=st.floats(0.01, 2.0), r=st.floats(0.0, 0.1),
+       q=st.floats(0.0, 0.1))
+def test_jump_kernels_respect_no_arbitrage_over_a_wide_box(sigma, lam, mu_j, sigma_j, T,
+                                                           r, q):
+    model = MjdParams(r=r, delta_yield=q, sigma=sigma, lam=lam, mu_j=mu_j, sigma_j=sigma_j)
+    K = SPOT * np.exp(np.linspace(-2.5, 2.5, 11))
+    try:
+        call = call_price(model, SPOT, 0.0, K, T)
+        put = put_price(model, SPOT, 0.0, K, T)
+        dlt = delta(model, SPOT, 0.0, K, T)
+        gamma = strike_gamma_weight(model, SPOT, 0.0, K, T)
+    except StaticHedgeError:
+        return
+    tol = 1e-8
+    spot_pv, strike_pv = SPOT * math.exp(-q * T), K * math.exp(-r * T)
+    for value in (call, put, dlt, gamma):
+        assert np.isfinite(value).all()
+    assert (call >= np.maximum(spot_pv - strike_pv, 0.0) - tol).all()
+    assert (call <= spot_pv + tol).all()
+    assert (put >= np.maximum(strike_pv - spot_pv, 0.0) - tol).all()
+    assert (put <= strike_pv + tol).all()
+    np.testing.assert_allclose(put, call - spot_pv + strike_pv, rtol=0.0, atol=tol)
+    # decreasing and convex in K: slopes lie in [-e^{-rT}, 0] and do not fall
+    slopes = np.diff(call) / np.diff(K)
+    assert (slopes <= tol).all() and (slopes >= -math.exp(-r * T) - tol).all()
+    assert (np.diff(slopes) >= -tol).all()
+    assert ((dlt >= -tol) & (dlt <= math.exp(-q * T) + tol)).all()
+    assert (np.diff(dlt) <= tol).all()
+    assert (gamma >= -tol).all()

@@ -18,6 +18,7 @@ from statichedge import (
     build_gq1,
     build_gq2,
     call_price,
+    delta,
     delta_hedge_run,
     pfe_curves,
     simulate_paths,
@@ -28,7 +29,7 @@ from statichedge import (
 )
 from statichedge import simulation
 from statichedge.models import MAX_BLOCK
-from statichedge.simulation import MAX_JUMPS_PER_STEP, _poisson_inverse
+from statichedge.simulation import MAX_JUMPS_PER_STEP, _path_states, _poisson_inverse
 
 from conftest import MATURITY, SPOT, STEP, STRIKE, U1_GRID, U2_GRID
 
@@ -134,6 +135,18 @@ def test_block_simulation_is_bitwise_the_per_path_loop(model_name, bs_model, mjd
     assert np.array_equal(simulate_paths(model, long).values, _per_path_paths(model, long))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 128 + 9,
+                                  2 ** 200 + 1])
+def test_path_states_match_numpy_spawn(seed):
+    # one to seven 32-bit entropy words; past four the pool mixes in extra words
+    for n_paths in (1, 2, 1000):
+        children = np.random.SeedSequence(seed).spawn(n_paths)
+        expected = [np.random.PCG64(child).state for child in children]
+        assert list(_path_states(seed, 0, n_paths)) == expected
+        # a later block derives the same states as the full range
+        assert list(_path_states(seed, n_paths // 2, n_paths)) == expected[n_paths // 2:]
+
+
 @pytest.mark.parametrize("model_name", ["bs", "mjd"])
 def test_terminal_mean_matches_carry_drift(model_name, bs_model, mjd_model):
     model = bs_model if model_name == "bs" else mjd_model
@@ -189,6 +202,25 @@ def test_delta_hedge_columns_are_bitwise_the_full_run(request, model_name, targe
         block = PathSet(paths.times, paths.values[rows])
         assert np.array_equal(delta_hedge_run(block, model, target, [21, 3]),
                               full[rows][:, [21, 3]])
+
+
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+def test_delta_hedge_inception_delta_is_bitwise_the_per_path_array(request, model_name,
+                                                                   target):
+    model = request.getfixturevalue(model_name)
+    paths = simulate_paths(model, SimConfig(n_paths=40, seed=8, step=STEP,
+                                            horizon=U2_GRID, spot0=SPOT))
+    S, times = paths.values, paths.times
+    # the recursion with the first delta taken on the whole column S[:, 0]
+    V = np.full(paths.n_paths, call_price(model, SPOT, 0.0, target.strike, target.maturity))
+    expected = np.zeros_like(S)
+    for i in range(1, len(times)):
+        d_prev = delta(model, S[:, i - 1], times[i - 1], target.strike, target.maturity)
+        V = d_prev * S[:, i] + (V - d_prev * S[:, i - 1]) * math.exp(model.r * (times[i] - times[i - 1]))
+        marks = call_price(model, S[:, i], times[i], target.strike, target.maturity)
+        expected[:, i] = math.exp(-model.r * times[i]) * (V - marks)
+    got = delta_hedge_run(paths, model, target)
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in expected.ravel().tolist()]
 
 
 def test_delta_hedge_marks_only_the_kept_columns(monkeypatch, bs_model, target):
@@ -361,6 +393,15 @@ def test_summarize_normal_sample_moments():
     assert stats.skewness == pytest.approx(0.0, abs=0.03)
     assert stats.kurtosis == pytest.approx(0.0, abs=0.06)
     assert stats.rmse == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("n", [2, 3, 199, 200, 1000])
+def test_summarize_percentiles_are_bitwise_one_at_a_time(n):
+    e = np.random.default_rng(n).standard_normal(n)
+    e[: n // 3] = e[0]  # ties
+    stats = summarize(e)
+    assert stats.p95.hex() == float(np.percentile(e, 95)).hex()
+    assert stats.p05.hex() == float(np.percentile(e, 5)).hex()
 
 
 def test_summarize_rejects_tiny_samples():

@@ -459,6 +459,8 @@ _PORTFOLIO_HEADER = {"target_strike": "100.0", "target_maturity": "1.0", "spot":
     ({"b0": "inf"}, "0.1,100.0,1.0", "header field b0='inf' must be finite"),
     ({"target_strike": "0"}, "0.1,100.0,1.0", "header field target_strike='0'"),
     ({"target_maturity": "x"}, "0.1,100.0,1.0", "header field target_maturity='x'"),
+    ({"target_kind": "straddle"}, "0.1,100.0,1.0",
+     "header field target_kind='straddle' must be 'call' or 'put'"),
 ])
 def test_portfolio_csv_rejects_bad_numbers(tmp_path, header, row, fragment):
     path = tmp_path / "bad.csv"
