@@ -12,6 +12,10 @@ per-model grouping of sweep values and the split of paths across threads
 are covered too); the others run through ``sweep --threads 2`` as well.
 ``table5.cfg`` also runs ``simulate --errors`` with a seed of three 32-bit
 words (2^64 + 3), so the per-path seeding of multi-word seeds is covered.
+One more generated config, ``mixed_orders.cfg``, runs every static method
+and DH on a jump model over 3 bands with unequal orders (GQ1 4, GQ2 6,
+GQn 8) and a ``modified_weight`` override, so hedges that share some but
+not all quadrature levels are covered.
 Each call gets a fresh output directory, and the manifest lists the sha256 of
 every file written there and of the call's stdout (with the output
 directory replaced by ``<out>``), plus its exit code.  Two checkouts emit
@@ -50,6 +54,23 @@ def _calls(config: Path):
     return calls
 
 
+# Every static method plus DH, each GQ method at its own order.
+MIXED_ORDERS = {
+    "model": {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14, "mu": 0.1,
+              "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13},
+    "target": {"strike": 100.0, "maturity": 1.0, "spot": 100.0},
+    "methods": [{"name": "DH"}, {"name": "CW_a"}, {"name": "CW_b", "n": 9},
+                {"name": "GQ1", "n": 4}, {"name": "GQ2", "n": 6}, {"name": "GQn", "n": 8}],
+    "bands": [{"maturity": 0.3, "lo": 70.0, "hi": 130.0},
+              {"maturity": 0.2, "lo": 60.0, "hi": 125.0},
+              {"maturity": 0.12, "lo": 55.0, "hi": 140.0}],
+    "sweep": {"variable": "lambda", "values": [1.0, 2.0, 1.0]},
+    "modified_weight": {"n_inner_gq": 9, "n_laguerre": 14},
+    "simulation": {"n_paths": 200, "seed": 3, "step": 1 / 252, "horizon": 10 / 252,
+                   "checkpoints": [5 / 252, 10 / 252]},
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -68,6 +89,7 @@ def main(argv=None) -> int:
     n_files = 0
     with tempfile.TemporaryDirectory() as gqn_dir:
         write_gqn_configs(Path(gqn_dir))
+        (Path(gqn_dir) / "mixed_orders.cfg").write_text(json.dumps(MIXED_ORDERS, indent=2) + "\n")
         configs = sorted((root / "configs").glob("*.cfg")) + sorted(Path(gqn_dir).glob("*.cfg"))
         for config in configs:
             for label, tail in _calls(config):

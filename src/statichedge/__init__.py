@@ -71,6 +71,7 @@ from .spanning import (
     build_gq1,
     build_gq2,
     build_gq_n,
+    build_portfolios,
     edl,
     hermite_strike_map,
     leg_table,

@@ -75,11 +75,7 @@ from .spanning import (
     MAX_BANDS,
     ModifiedWeightConfig,
     StrikeBand,
-    build_cw_a,
-    build_cw_b,
-    build_gq1,
-    build_gq2,
-    build_gq_n,
+    build_portfolios,
     check_band_order,
     pdl,
 )
@@ -96,23 +92,14 @@ __all__ = [
     "emit",
 ]
 
-# Each static method: the bands it needs, the quadrature rule its order
-# ``n`` sizes, and its builder, called as ``build(model, cfg, bands, n)``.
-# The lambdas look the builders up when called, so a rebound module
-# attribute (a tracer, a test counter) is seen.
+# Each static method: the bands it needs and the quadrature rule its order
+# ``n`` sizes.  ``spanning.build_portfolios`` builds them all.
 _STATIC_METHODS = {
-    "CW_a": (1, HERMITE,
-             lambda model, cfg, bands, n: build_cw_a(model, cfg.target, cfg.spot, bands[0])),
-    "CW_b": (1, HERMITE,
-             lambda model, cfg, bands, n: build_cw_b(model, cfg.target, cfg.spot, bands[0], n)),
-    "GQ1": (1, LEGENDRE,
-            lambda model, cfg, bands, n: build_gq1(model, cfg.target, cfg.spot, bands[0], n)),
-    "GQ2": (2, LEGENDRE,
-            lambda model, cfg, bands, n: build_gq2(model, cfg.target, cfg.spot, bands[0],
-                                                   bands[1], n, cfg.modified_weight)),
-    "GQn": (1, LEGENDRE,
-            lambda model, cfg, bands, n: build_gq_n(model, cfg.target, cfg.spot, bands, n,
-                                                    cfg.modified_weight)),
+    "CW_a": (1, HERMITE),
+    "CW_b": (1, HERMITE),
+    "GQ1": (1, LEGENDRE),
+    "GQ2": (2, LEGENDRE),
+    "GQn": (1, LEGENDRE),
 }
 METHOD_NAMES = (*_STATIC_METHODS, "DH")
 _ORDERED_METHODS = ("CW_b", "GQ1", "GQ2", "GQn")
@@ -430,10 +417,12 @@ def _resolve(cfg: ExperimentConfig, value):
 
 def _value_context(cfg: ExperimentConfig, value):
     """Resolve one sweep value to ``(model, per-method orders, portfolios)``,
-    building every static portfolio (all methods but DH) exactly once."""
+    building every static portfolio (all methods but DH) in one
+    ``build_portfolios`` pass."""
     model, bands, orders = _resolve(cfg, value)
-    portfolios = {m.name: _STATIC_METHODS[m.name][2](model, cfg, bands, orders[m.name])
-                  for m in cfg.methods if m.name in _STATIC_METHODS}
+    static = {m.name: orders[m.name] for m in cfg.methods if m.name in _STATIC_METHODS}
+    portfolios = build_portfolios(model, cfg.target, cfg.spot, bands, static,
+                                  cfg.modified_weight)
     return model, orders, portfolios
 
 

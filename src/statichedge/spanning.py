@@ -16,6 +16,14 @@ families:
   excluded gamma mass through the inter-maturity gamma kernel.  ``GQn``
   iterates the same construction over up to four maturities.
 
+``build_portfolios`` builds every static hedge of one target, model and
+set of bands in one pass.
+The GQ hedges are nested, so one Legendre recursion per distinct order
+serves them all: ``GQ1`` takes its first level, ``GQ2`` its first two and
+``GQn`` every level.  One ``call_marks`` pass then marks the target and
+every leg at inception.  The five public builders are its one-method
+cases.
+
 Every portfolio records ``b0``, the signed cash residual that makes the
 package worth exactly the target at inception (invested at the risk-free
 rate by the simulation harness).  ``edl`` is the matching inception
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from .models import (
     OptionRef,
     annualized_variance,
     call_marks,
-    call_price,
+    call_price,  # noqa: F401 - bench/test_bench.py checks the tracer rebinds it here
     strike_gamma_weight,
 )
 from .quadrature import HERMITE, LAGUERRE, LEGENDRE, ORDER_CAP, make_rule, map_to_interval
@@ -51,6 +59,7 @@ __all__ = [
     "build_gq1",
     "build_gq2",
     "build_gq_n",
+    "build_portfolios",
     "modified_weight",
     "portfolio_value",
     "edl",
@@ -182,54 +191,6 @@ def hermite_strike_map(model: ModelSpec, K: float, T: float, u: float, n: int):
     return list(zip(strikes.tolist(), np.asarray(weights).reshape(-1).tolist()))
 
 
-def _assemble(model, target, spot, legs, tag) -> HedgePortfolio:
-    legs = tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
-    portfolio = HedgePortfolio(target, float(spot), legs, 0.0, tag)
-    value = portfolio_value(portfolio, model, spot, 0.0)
-    b0 = call_price(model, spot, 0.0, target.strike, target.maturity) - value
-    return replace(portfolio, b0=float(b0))
-
-
-def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) -> HedgePortfolio:
-    """Largest Hermite ladder whose strikes all fit inside the band.
-
-    The order search starts at 1 and stops at the first order with a strike
-    outside ``[band.lo, band.hi]``; the previous order wins.
-    """
-    _require_call_target(target)
-    check_band_order([band], target)
-    chosen = None
-    for n in range(1, ORDER_CAP[HERMITE] + 1):
-        pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
-        if all(band.contains(k) for k, _ in pairs):
-            chosen = pairs
-            continue
-        if chosen is None:
-            raise SpanningError(
-                f"band [{band.lo}, {band.hi}] excludes the hermite center strike "
-                f"{pairs[0][0]:.4f}"
-            )
-        break
-    legs = [HedgeLeg(k, band.maturity, w) for k, w in chosen]
-    return _assemble(model, target, S, legs, "CW_a")
-
-
-def build_cw_b(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand, n: int) -> HedgePortfolio:
-    """Fixed-order Hermite ladder with out-of-band strikes dropped."""
-    _require_call_target(target)
-    check_band_order([band], target)
-    pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
-    kept = [(k, w) for k, w in pairs if band.contains(k)]
-    if not kept:
-        warnings.warn(
-            f"all {n} hermite strikes fall outside [{band.lo}, {band.hi}]; "
-            "portfolio is pure cash",
-            stacklevel=2,
-        )
-    legs = [HedgeLeg(k, band.maturity, w) for k, w in kept]
-    return _assemble(model, target, S, legs, "CW_b")
-
-
 def _excluded_region_rule(band: StrikeBand, cfg: ModifiedWeightConfig):
     """Quadrature nodes/weights for integrals over [0, lo] union [hi, inf).
 
@@ -278,33 +239,156 @@ def _excluded_mass(model, target, band, cfg, carry):
     return nodes, wts * _level_weight(model, target, nodes, band.maturity, carry), band.maturity
 
 
-def _build_gq(model, target, S, bands, n, cfg, tag) -> HedgePortfolio:
-    _require_call_target(target)
-    if not bands:
-        raise SpanningError("at least one strike band is required")
-    if len(bands) > MAX_BANDS:
-        raise SpanningError(
-            f"at most {MAX_BANDS} short maturities supported, got {len(bands)}"
+# The bands each static method hedges with: the leading one or two, or all
+# of them (None).
+_METHOD_DEPTH = {"CW_a": 1, "CW_b": 1, "GQ1": 1, "GQ2": 2, "GQn": None}
+
+
+def _cw_a_legs(model, target, band):
+    chosen = None
+    for n in range(1, ORDER_CAP[HERMITE] + 1):
+        pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
+        if all(band.contains(k) for k, _ in pairs):
+            chosen = pairs
+            continue
+        if chosen is None:
+            raise SpanningError(
+                f"band [{band.lo}, {band.hi}] excludes the hermite center strike "
+                f"{pairs[0][0]:.4f}"
+            )
+        break
+    return [HedgeLeg(k, band.maturity, w) for k, w in chosen]
+
+
+def _cw_b_legs(model, target, band, n):
+    pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
+    kept = [(k, w) for k, w in pairs if band.contains(k)]
+    if not kept:
+        warnings.warn(
+            f"all {n} hermite strikes fall outside [{band.lo}, {band.hi}]; "
+            "portfolio is pure cash",
+            stacklevel=4,
         )
-    check_band_order(bands, target)
-    legs = []
+    return [HedgeLeg(k, band.maturity, w) for k, w in kept]
+
+
+def _gq_levels(model, target, bands, n, cfg):
+    """Yield the legs of each level of the order-``n`` Legendre recursion
+    over ``bands``, computing a level only when it is asked for: level 1
+    carries the target's gamma weight, and each later level the excluded
+    mass of the level before it (never read by level 1, so ``cfg`` only
+    matters past it)."""
     carry = None
     for i, band in enumerate(bands):
+        if i:
+            carry = _excluded_mass(model, target, bands[i - 1], cfg, carry)
         rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
         wt = _level_weight(model, target, rule.nodes, band.maturity, carry)
-        legs.extend(
-            HedgeLeg(k, band.maturity, w)
-            for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())
-        )
-        if i + 1 < len(bands):
-            carry = _excluded_mass(model, target, band, cfg, carry)
-    return _assemble(model, target, S, legs, tag)
+        yield [HedgeLeg(k, band.maturity, w)
+               for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())]
+
+
+def _method_legs(model, target, bands, name, n, cfg, levels):
+    """Legs of static method ``name``, sorted by (maturity, strike).
+    ``levels`` maps each GQ order to its ``_gq_levels`` generator and the
+    levels it has yielded so far; a new order gets an entry."""
+    if name not in _METHOD_DEPTH:
+        raise SpanningError(f"unknown static method {name!r}")
+    depth = _METHOD_DEPTH[name] or len(bands)
+    if not bands:
+        raise SpanningError("at least one strike band is required")
+    if len(bands) < depth:
+        raise SpanningError(f"{name} needs {depth} strike bands, got {len(bands)}")
+    if depth > MAX_BANDS:
+        raise SpanningError(f"at most {MAX_BANDS} short maturities supported, got {depth}")
+    check_band_order(bands[:depth], target)
+    if name == "CW_a":
+        legs = _cw_a_legs(model, target, bands[0])
+    elif name == "CW_b":
+        legs = _cw_b_legs(model, target, bands[0], n)
+    else:
+        if n not in levels:
+            levels[n] = (_gq_levels(model, target, bands, n, cfg), [])
+        gen, done = levels[n]
+        while len(done) < depth:
+            done.append(next(gen))
+        legs = [leg for level in done[:depth] for leg in level]
+    return tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
+
+
+def _inception_pairs(target, method_legs):
+    """Each method's (strike, maturity) pairs, its legs then the target."""
+    for legs in method_legs:
+        for leg in legs:
+            yield leg.strike, leg.maturity
+        yield target.strike, target.maturity
+
+
+def build_portfolios(
+    model: ModelSpec,
+    target: OptionRef,
+    S: float,
+    bands,
+    orders: dict,
+    cfg: ModifiedWeightConfig = ModifiedWeightConfig(),
+) -> dict:
+    """Every static hedge of one target, model and set of bands in one
+    pass: ``{method: HedgePortfolio}`` in the order of ``orders``, which
+    maps each method (``CW_a``, ``CW_b``, ``GQ1``, ``GQ2``, ``GQn``) to
+    its quadrature order (``CW_a`` picks its own and ignores it).
+
+    ``CW_a`` and ``CW_b`` hedge with ``bands[0]``, ``GQ1`` and ``GQ2``
+    with the first one and two bands, and ``GQn`` with all of them.  The
+    GQ hedges are nested: the ``GQ2`` legs are the ``GQ1`` legs plus a
+    second level, so the Legendre recursion runs once per distinct order
+    and each method takes its prefix of levels; ``cfg`` sizes the
+    excluded-region rules of levels past the first.  Then one
+    ``call_marks`` pass marks the target and every leg at inception, and
+    each ``b0`` is the target mark minus the weighted leg marks summed in
+    leg order.
+
+    Methods are built in the order of ``orders``; the first one that
+    fails, in its build or in its inception pricing, raises.
+    """
+    _require_call_target(target)
+    bands = list(bands)
+    levels, built = {}, {}
+    try:
+        for name, n in orders.items():
+            built[name] = _method_legs(model, target, bands, name, n, cfg, levels)
+    finally:
+        # Also after a failed build: a pricing error of an earlier method
+        # comes first, as when each method was priced right after its build.
+        marks = call_marks(model, S, 0.0, _inception_pairs(target, built.values()))
+    if not built:
+        return {}
+    price = marks[target.strike, target.maturity]
+    return {name: HedgePortfolio(target, float(S), legs, float(price - _legs_value(legs, marks)),
+                                 name)
+            for name, legs in built.items()}
+
+
+def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) -> HedgePortfolio:
+    """Largest Hermite ladder whose strikes all fit inside the band: the
+    one-method case of ``build_portfolios``.
+
+    The order search starts at 1 and stops at the first order with a strike
+    outside ``[band.lo, band.hi]``; the previous order wins.
+    """
+    return build_portfolios(model, target, S, [band], {"CW_a": None})["CW_a"]
+
+
+def build_cw_b(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand, n: int) -> HedgePortfolio:
+    """Fixed-order Hermite ladder with out-of-band strikes dropped (warns
+    when none is left): the one-method case of ``build_portfolios``."""
+    return build_portfolios(model, target, S, [band], {"CW_b": n})["CW_b"]
 
 
 def build_gq1(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand, n: int) -> HedgePortfolio:
     """Single-maturity Legendre hedge: leg strikes at the mapped nodes of an
-    order-``n`` rule on the band, weighted by the gamma weight there."""
-    return _build_gq(model, target, S, [band], n, ModifiedWeightConfig(), "GQ1")
+    order-``n`` rule on the band, weighted by the gamma weight there; the
+    one-method case of ``build_portfolios``."""
+    return build_portfolios(model, target, S, [band], {"GQ1": n})["GQ1"]
 
 
 def build_gq2(
@@ -317,8 +401,9 @@ def build_gq2(
     cfg: ModifiedWeightConfig = ModifiedWeightConfig(),
 ) -> HedgePortfolio:
     """Two-maturity hedge: band1 legs as in ``build_gq1`` plus band2 legs
-    carrying the modified weight that re-spans band1's excluded strike mass."""
-    return _build_gq(model, target, S, [band1, band2], n, cfg, "GQ2")
+    carrying the modified weight that re-spans band1's excluded strike
+    mass; the one-method case of ``build_portfolios``."""
+    return build_portfolios(model, target, S, [band1, band2], {"GQ2": n}, cfg)["GQ2"]
 
 
 def build_gq_n(
@@ -329,13 +414,14 @@ def build_gq_n(
     n: int,
     cfg: ModifiedWeightConfig = ModifiedWeightConfig(),
 ) -> HedgePortfolio:
-    """Iterated multi-maturity hedge over strictly decreasing maturities.
+    """Iterated multi-maturity hedge over strictly decreasing maturities:
+    the one-method case of ``build_portfolios``.
 
     Each level's weight pushes the previous level's out-of-band mass
     through the inter-maturity gamma kernel; with one band this reduces to
     ``build_gq1`` and with two it reproduces ``build_gq2`` exactly.
     """
-    return _build_gq(model, target, S, list(bands), n, cfg, "GQn")
+    return build_portfolios(model, target, S, bands, {"GQn": n}, cfg)["GQn"]
 
 
 def modified_weight(
@@ -368,8 +454,13 @@ def portfolio_value(portfolio: HedgePortfolio, model: ModelSpec, S, t: float):
     Each maturity's strikes are priced in one ``call_marks`` pass and the
     weighted marks are summed in leg order."""
     marks = call_marks(model, S, t, ((leg.strike, leg.maturity) for leg in portfolio.legs))
+    return _legs_value(portfolio.legs, marks)
+
+
+def _legs_value(legs, marks):
+    """The weighted ``marks[strike, maturity]`` of ``legs``, summed in leg order."""
     total = 0.0
-    for leg in portfolio.legs:
+    for leg in legs:
         total = total + leg.weight * marks[leg.strike, leg.maturity]
     return total
 

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statichedge import cli, portfolio_from_csv
+from statichedge import (SeriesError, SingularMaturityError, SpanningError, cli,
+                         portfolio_from_csv)
 from statichedge.cli import main
+from statichedge.experiments import parse_config, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -256,6 +258,46 @@ def test_exit_code_for_numerical_failure(tmp_path, capsys):
     cfg = _write_config(tmp_path, data)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+_GUARD_BANDS = [{"maturity": 0.1587, "lo": 120.0, "hi": 130.0},
+                {"maturity": 0.1587 - 5e-5, "lo": 60.0, "hi": 120.0}]
+_CW_A_ERROR = "band [120.0, 130.0] excludes the hermite center strike 92.2061"
+_GUARD_ERROR = ("maturity 0.15865 must precede 0.1587 by at least the 0.0001-year guard; "
+                "the inter-maturity weight degenerates there")
+_JUMPY = {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14, "mu": 0.1,
+          "lam": 150.0, "mu_j": -0.1, "sigma_j": 0.13}
+_SERIES_ERROR = ("jump series not converged after 180 terms "
+                 "(lam * tau = 150, lam * (1 + g) * tau = 136.877)")
+
+
+@pytest.mark.parametrize("model, bands, methods, error, message", [
+    # CW_a's band excludes the Hermite centre; GQ2's second band is inside the guard
+    (None, _GUARD_BANDS, ["CW_a", "GQ2"], SpanningError, _CW_A_ERROR),
+    (None, _GUARD_BANDS, ["GQ2", "CW_a"], SingularMaturityError, _GUARD_ERROR),
+    # GQ1 builds, but its target's jump series diverges at inception pricing
+    (_JUMPY, [{"maturity": 0.5, "lo": 120.0, "hi": 130.0}], ["GQ1", "CW_a"], SeriesError,
+     _SERIES_ERROR),
+    (_JUMPY, [{"maturity": 0.5, "lo": 120.0, "hi": 130.0}], ["CW_a", "GQ1"], SpanningError,
+     "band [120.0, 130.0] excludes the hermite center strike 35.5706"),
+])
+def test_first_failing_method_in_config_order_raises(tmp_path, capsys, model, bands, methods,
+                                                     error, message):
+    data = {
+        "model": model or {"type": "bs", "r": 0.06, "delta_yield": 0.0, "sigma": 0.27,
+                           "mu": 0.1},
+        "target": {"strike": 100.0, "maturity": 1.0, "spot": 100.0},
+        "methods": [{"name": name, "n": 4} for name in methods],
+        "bands": bands,
+        "sweep": {"variable": "u1", "values": [bands[0]["maturity"]]},
+    }
+    with pytest.raises(error) as exc:
+        run_experiment(parse_config(data))
+    assert type(exc.value) is error and str(exc.value) == message
+    cfg = _write_config(tmp_path, data)
+    for command in ("sweep", "build"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 def _five_bands(data):

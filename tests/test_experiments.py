@@ -1,11 +1,11 @@
 import json
 import threading
-from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from statichedge import ConfigError, experiments
+from statichedge import ConfigError, experiments, models, spanning
 from statichedge.models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF
 from statichedge.experiments import (
     Report,
@@ -251,15 +251,15 @@ def test_simulation_stats_in_report(tmp_path):
 
 
 def test_sweep_with_simulation_builds_each_portfolio_once(monkeypatch):
-    calls = Counter()
-    for name in ("build_cw_a", "build_gq1", "build_gq2"):
-        builder = getattr(experiments, name)
+    built = []
+    builder = experiments.build_portfolios
 
-        def counted(*args, _name=name, _builder=builder, **kwargs):
-            calls[_name] += 1
-            return _builder(*args, **kwargs)
+    def counted(*args, **kwargs):
+        portfolios = builder(*args, **kwargs)
+        built.append(list(portfolios))
+        return portfolios
 
-        monkeypatch.setattr(experiments, name, counted)
+    monkeypatch.setattr(experiments, "build_portfolios", counted)
     data = _base_config()
     data["methods"] = [{"name": "DH"}, {"name": "CW_a"}, {"name": "GQ1"}, {"name": "GQ2"}]
     data["bands"] = [{"maturity": 40 / 252, "lo": 80.0, "hi": 120.0},
@@ -269,7 +269,8 @@ def test_sweep_with_simulation_builds_each_portfolio_once(monkeypatch):
                           "horizon": 21 / 252, "checkpoints": [21 / 252]}
     report = run_experiment(parse_config(data))
     assert all("stats" in info for info in report.rows[0].methods.values())
-    assert calls == {"build_cw_a": 2, "build_gq1": 2, "build_gq2": 2}
+    # one build pass per sweep value, each building every static method once
+    assert built == [["CW_a", "GQ1", "GQ2"]] * 2
 
 
 def _count_calls(monkeypatch, name):
@@ -350,13 +351,13 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
 
 def test_sweep_values_build_on_the_calling_thread(monkeypatch):
     callers = []
-    build = experiments.build_gq1
+    build = experiments.build_portfolios
 
     def recording_build(*args, **kwargs):
         callers.append(threading.get_ident())
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "build_gq1", recording_build)
+    monkeypatch.setattr(experiments, "build_portfolios", recording_build)
     data = _small_simulation(_base_config(), n_paths=4)
     data["sweep"] = {"variable": "quad_points", "values": [4, 8]}
     run_experiment(parse_config(data), threads=4)
@@ -418,3 +419,82 @@ def test_method_table_builds_what_the_builders_build():
     assert list(portfolios) == list(direct)
     assert {name: repr(p) for name, p in portfolios.items()} == {
         name: repr(p) for name, p in direct.items()}
+
+
+_MIX_BANDS = [{"maturity": 0.3, "lo": 70.0, "hi": 130.0},
+              {"maturity": 0.2, "lo": 60.0, "hi": 125.0},
+              {"maturity": 0.12, "lo": 55.0, "hi": 140.0},
+              {"maturity": 0.06, "lo": 50.0, "hi": 150.0}]
+_MJD = {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14, "mu": 0.1,
+        "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13}
+
+
+@pytest.mark.parametrize("model", ["bs", "mjd"])
+@pytest.mark.parametrize("n_bands", [1, 2, 3, 4])
+@pytest.mark.parametrize("gq_orders", [(6, 6, 6), (4, 6, 8)])
+@pytest.mark.parametrize("mw", [None, {"n_inner_gq": 9, "n_laguerre": 14}])
+def test_one_pass_build_is_bitwise_the_public_builders(model, n_bands, gq_orders, mw):
+    from statichedge.spanning import (build_cw_a, build_cw_b, build_gq1, build_gq2,
+                                      build_gq_n)
+
+    data = _base_config()
+    if model == "mjd":
+        data["model"] = dict(_MJD)
+    data["bands"] = _MIX_BANDS[:n_bands]
+    data["methods"] = [{"name": "CW_a"}, {"name": "CW_b", "n": 9}]
+    data["methods"] += [{"name": name, "n": n} for name, n in zip(("GQ1", "GQ2", "GQn"), gq_orders)
+                        if name != "GQ2" or n_bands >= 2]
+    data["sweep"] = {"variable": "u1", "values": [0.3]}
+    if mw is not None:
+        data["modified_weight"] = mw
+    cfg = parse_config(data)
+    _, _, portfolios = experiments._value_context(cfg, 0.3)
+    bands = list(cfg.bands)
+    args = (cfg.model, cfg.target, cfg.spot)
+    n1, n2, n_n = gq_orders
+    direct = {"CW_a": build_cw_a(*args, bands[0]), "CW_b": build_cw_b(*args, bands[0], 9),
+              "GQ1": build_gq1(*args, bands[0], n1)}
+    if n_bands >= 2:
+        direct["GQ2"] = build_gq2(*args, bands[0], bands[1], n2, cfg.modified_weight)
+    direct["GQn"] = build_gq_n(*args, bands, n_n, cfg.modified_weight)
+    assert list(portfolios) == list(direct)
+    assert {name: repr(p) for name, p in portfolios.items()} == {
+        name: repr(p) for name, p in direct.items()}
+
+
+def _record_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_one_pass_build_prices_each_maturity_once_and_keeps_nothing(monkeypatch):
+    from statichedge.quadrature import LEGENDRE, make_rule, map_to_interval
+
+    prices = _record_calls(monkeypatch, models, "call_price")
+    gammas = _record_calls(monkeypatch, spanning, "strike_gamma_weight")
+    cfg = load_config(CONFIG_DIR / "table7.cfg")
+    assert [m.name for m in cfg.methods] == ["CW_a", "CW_b", "GQ1", "GQ2"]
+    _, _, portfolios = experiments._value_context(cfg, cfg.sweep.values[0])
+    maturities = {leg.maturity for p in portfolios.values() for leg in p.legs}
+    # inception: one call_price call per distinct maturity, the target's included
+    assert len(prices) == len(maturities | {cfg.target.maturity}) == 3
+    # GQ1 and GQ2 share their first level: one gamma-weight call on its nodes
+    band = cfg.bands[0]
+    nodes = map_to_interval(make_rule(LEGENDRE, 20), band.lo, band.hi).nodes
+    level1 = [args for args in gammas
+              if np.shape(args[1]) == nodes.shape and np.array_equal(args[1], nodes)]
+    assert len(level1) == 1
+    # nothing built survives a call: a rerun makes every kernel call again
+    runs = []
+    for _ in range(2):
+        before = len(prices), len(gammas)
+        run_experiment(cfg)
+        runs.append((len(prices) - before[0], len(gammas) - before[1]))
+    assert runs[0] == runs[1] and runs[0][0] == 3 * len(cfg.sweep.values)
