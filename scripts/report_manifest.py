@@ -15,7 +15,11 @@ words (2^64 + 3), so the per-path seeding of multi-word seeds is covered.
 One more generated config, ``mixed_orders.cfg``, runs every static method
 and DH on a jump model over 3 bands with unequal orders (GQ1 4, GQ2 6,
 GQn 8) and a ``modified_weight`` override, so hedges that share some but
-not all quadrature levels are covered.
+not all quadrature levels are covered.  Four more generated static configs
+(``SHARED_WORK``) sweep values that share build work: a ``u2`` sweep over
+3 jump-model bands with GQ2 and GQn, a band sweep whose leading band (and
+one whole value) repeats, a ``lambda`` sweep with a repeated value, and
+CW_a with CW_b under a ``quad_points`` sweep.
 Each call gets a fresh output directory, and the manifest lists the sha256 of
 every file written there and of the call's stdout (with the output
 directory replaced by ``<out>``), plus its exit code.  Two checkouts emit
@@ -71,6 +75,47 @@ MIXED_ORDERS = {
 }
 
 
+_MJD = MIXED_ORDERS["model"]
+_TARGET = MIXED_ORDERS["target"]
+
+# Static sweeps whose values share part of their build work.
+SHARED_WORK = {
+    # every value shares the carry into the second level
+    "u2_three_bands.cfg": {
+        "model": _MJD, "target": _TARGET,
+        "methods": [{"name": "GQ2", "n": 8}, {"name": "GQn", "n": 8}],
+        "bands": MIXED_ORDERS["bands"],
+        "sweep": {"variable": "u2", "values": [0.15, 0.25, 0.2]},
+    },
+    # the leading band repeats, and so does a whole value
+    "band_lead_repeats.cfg": {
+        "model": _MJD, "target": _TARGET,
+        "methods": [{"name": "CW_a"}, {"name": "CW_b", "n": 7},
+                    {"name": "GQ1", "n": 6}, {"name": "GQ2", "n": 6}],
+        "bands": MIXED_ORDERS["bands"][:2],
+        "sweep": {"variable": "band", "values": [
+            [{"lo": 70.0, "hi": 130.0}, {"lo": 60.0, "hi": 125.0}],
+            [{"lo": 70.0, "hi": 130.0}, {"lo": 50.0, "hi": 140.0}],
+            [{"lo": 80.0, "hi": 120.0}, {"lo": 50.0, "hi": 140.0}],
+            [{"lo": 70.0, "hi": 130.0}, {"lo": 60.0, "hi": 125.0}],
+        ]},
+    },
+    "lambda_repeats.cfg": {
+        "model": _MJD, "target": _TARGET,
+        "methods": [{"name": "CW_a"}, {"name": "CW_b", "n": 9}, {"name": "GQ1", "n": 6},
+                    {"name": "GQ2", "n": 6}, {"name": "GQn", "n": 6}],
+        "bands": MIXED_ORDERS["bands"],
+        "sweep": {"variable": "lambda", "values": [0.5, 2.0, 0.5], "hold_variance": 0.09},
+    },
+    "cw_quad_points.cfg": {
+        "model": _MJD, "target": _TARGET,
+        "methods": [{"name": "CW_a"}, {"name": "CW_b"}],
+        "bands": MIXED_ORDERS["bands"][:1],
+        "sweep": {"variable": "quad_points", "values": [5, 12, 5, 30]},
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -89,7 +134,8 @@ def main(argv=None) -> int:
     n_files = 0
     with tempfile.TemporaryDirectory() as gqn_dir:
         write_gqn_configs(Path(gqn_dir))
-        (Path(gqn_dir) / "mixed_orders.cfg").write_text(json.dumps(MIXED_ORDERS, indent=2) + "\n")
+        for name, data in {"mixed_orders.cfg": MIXED_ORDERS, **SHARED_WORK}.items():
+            (Path(gqn_dir) / name).write_text(json.dumps(data, indent=2) + "\n")
         configs = sorted((root / "configs").glob("*.cfg")) + sorted(Path(gqn_dir).glob("*.cfg"))
         for config in configs:
             for label, tail in _calls(config):

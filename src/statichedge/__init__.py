@@ -72,6 +72,7 @@ from .spanning import (
     build_gq2,
     build_gq_n,
     build_portfolios,
+    build_sweep,
     edl,
     hermite_strike_map,
     leg_table,

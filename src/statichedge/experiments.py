@@ -7,8 +7,11 @@ produces one report row per sweep value with the inception error of every
 method (plus the loss-reduction percentage when both one- and
 two-maturity quadrature hedges are present), and, when a simulation block
 is given, cross-path hedge-error statistics at the requested checkpoint
-times.  Reports are deterministic given the config: re-running byte-
-reproduces every emitted file regardless of the thread count.
+times.  It resolves every sweep value first and then builds the static
+hedges of all of them in one ``spanning.build_sweep`` call, so values
+that share a band, a carry, a ladder or a model share that work.  Reports
+are deterministic given the config: re-running byte-reproduces every
+emitted file regardless of the thread count.
 
 Config schema::
 
@@ -75,7 +78,7 @@ from .spanning import (
     MAX_BANDS,
     ModifiedWeightConfig,
     StrikeBand,
-    build_portfolios,
+    build_sweep,
     check_band_order,
     pdl,
 )
@@ -93,7 +96,7 @@ __all__ = [
 ]
 
 # Each static method: the bands it needs and the quadrature rule its order
-# ``n`` sizes.  ``spanning.build_portfolios`` builds them all.
+# ``n`` sizes.  ``spanning.build_sweep`` builds them all.
 _STATIC_METHODS = {
     "CW_a": (1, HERMITE),
     "CW_b": (1, HERMITE),
@@ -415,21 +418,29 @@ def _resolve(cfg: ExperimentConfig, value):
     return model, bands, orders
 
 
+def _value_contexts(cfg: ExperimentConfig, values) -> list:
+    """Resolve each sweep value to ``(model, per-method orders,
+    portfolios)``.  Every value is resolved first; then one ``build_sweep``
+    call builds the static portfolios (all methods but DH) of all of them,
+    sharing the work the values have in common."""
+    resolved = [_resolve(cfg, value) for value in values]
+    cases = [(model, bands, {m.name: orders[m.name] for m in cfg.methods
+                             if m.name in _STATIC_METHODS})
+             for model, bands, orders in resolved]
+    built = build_sweep(cfg.target, cfg.spot, cases, cfg.modified_weight)
+    return [(model, orders, portfolios)
+            for (model, _, orders), portfolios in zip(resolved, built)]
+
+
 def _value_context(cfg: ExperimentConfig, value):
-    """Resolve one sweep value to ``(model, per-method orders, portfolios)``,
-    building every static portfolio (all methods but DH) in one
-    ``build_portfolios`` pass."""
-    model, bands, orders = _resolve(cfg, value)
-    static = {m.name: orders[m.name] for m in cfg.methods if m.name in _STATIC_METHODS}
-    portfolios = build_portfolios(model, cfg.target, cfg.spot, bands, static,
-                                  cfg.modified_weight)
-    return model, orders, portfolios
+    """The ``_value_contexts`` entry of one sweep value."""
+    return _value_contexts(cfg, [value])[0]
 
 
 def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads: int = 1) -> list:
     """Hedge errors of every method for each resolved sweep value.
 
-    ``contexts`` holds ``_value_context`` results.  Returns one ``{method
+    ``contexts`` holds ``_value_contexts`` results.  Returns one ``{method
     name: (n_paths, len(columns)) error matrix}`` per context, at the grid
     ``columns`` (default: every grid time of ``cfg.simulation``).
 
@@ -497,12 +508,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Evaluate every sweep value; rows keep the config's value order and
     the result is independent of ``threads``.
 
-    Every value is resolved and built on the calling thread;
-    ``simulate_methods`` then hedges every value at the checkpoint
-    columns, splitting each group's paths into ``threads`` blocks.
+    Every value is resolved, then all are built in one ``build_sweep``
+    call on the calling thread; ``simulate_methods`` then hedges every
+    value at the checkpoint columns, splitting each group's paths into
+    ``threads`` blocks.
     """
     values = list(cfg.sweep.values)
-    contexts = [_value_context(cfg, value) for value in values]
+    contexts = _value_contexts(cfg, values)
     rows = [_inception_row(cfg, value, orders, portfolios)
             for value, (_, orders, portfolios) in zip(values, contexts)]
     if cfg.simulation is not None:

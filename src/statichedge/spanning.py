@@ -16,13 +16,16 @@ families:
   excluded gamma mass through the inter-maturity gamma kernel.  ``GQn``
   iterates the same construction over up to four maturities.
 
-``build_portfolios`` builds every static hedge of one target, model and
-set of bands in one pass.
-The GQ hedges are nested, so one Legendre recursion per distinct order
-serves them all: ``GQ1`` takes its first level, ``GQ2`` its first two and
-``GQn`` every level.  One ``call_marks`` pass then marks the target and
-every leg at inception.  The five public builders are its one-method
-cases.
+``build_sweep`` builds every static hedge of every value of a sweep in
+one pass.  The GQ hedges are nested: ``GQ1`` takes the first level of a
+Legendre recursion, ``GQ2`` its first two and ``GQn`` every level.  The
+excluded mass a level carries down depends on the model and the bands but
+not on the order, and a Hermite ladder on the maturity and the order but
+not on the band, so each is computed once per call and shared by every
+method and value that needs it.  One ``call_marks`` pass per distinct
+model then marks the target and every leg at inception.
+``build_portfolios`` is its one-value call, and the five public builders
+are one-method calls of that.
 
 Every portfolio records ``b0``, the signed cash residual that makes the
 package worth exactly the target at inception (invested at the risk-free
@@ -32,12 +35,13 @@ diagnostic, reported as hedge value minus target value.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMaturityError, SpanningError, UndefinedPdlError
+from .errors import NumericalError, SingularMaturityError, SpanningError, UndefinedPdlError
 from .models import (
     ModelSpec,
     OptionRef,
@@ -60,6 +64,7 @@ __all__ = [
     "build_gq2",
     "build_gq_n",
     "build_portfolios",
+    "build_sweep",
     "modified_weight",
     "portfolio_value",
     "edl",
@@ -168,6 +173,19 @@ def check_band_order(bands, target: OptionRef):
             )
 
 
+def _hermite_strikes(model: ModelSpec, K: float, T: float, u: float, n: int):
+    """The order-``n`` Hermite rule, its strikes mapped to maturity ``u``
+    and the spread ``s`` of the map (see ``hermite_strike_map``)."""
+    if u >= T:
+        raise SpanningError(f"need u < T, got u={u!r}, T={T!r}")
+    tau = T - u
+    var = annualized_variance(model)
+    spread = math.sqrt(2.0 * var * tau)
+    drift = (model.delta_yield - model.r - 0.5 * var) * tau
+    rule = make_rule(HERMITE, n)
+    return rule, K * np.exp(rule.nodes * spread + drift), spread
+
+
 def hermite_strike_map(model: ModelSpec, K: float, T: float, u: float, n: int):
     """Hermite ladder of ``n`` (strike, weight) pairs for maturity ``u``.
 
@@ -178,14 +196,7 @@ def hermite_strike_map(model: ModelSpec, K: float, T: float, u: float, n: int):
     the map, divided by the Hermite density ``e^{-x_j^2}``.  Strikes come
     out ascending.
     """
-    if u >= T:
-        raise SpanningError(f"need u < T, got u={u!r}, T={T!r}")
-    tau = T - u
-    var = annualized_variance(model)
-    spread = math.sqrt(2.0 * var * tau)
-    drift = (model.delta_yield - model.r - 0.5 * var) * tau
-    rule = make_rule(HERMITE, n)
-    strikes = K * np.exp(rule.nodes * spread + drift)
+    rule, strikes, spread = _hermite_strikes(model, K, T, u, n)
     gammas = strike_gamma_weight(model, strikes, u, K, T)
     weights = gammas * strikes * spread * rule.weights * np.exp(rule.nodes ** 2)
     return list(zip(strikes.tolist(), np.asarray(weights).reshape(-1).tolist()))
@@ -244,76 +255,121 @@ def _excluded_mass(model, target, band, cfg, carry):
 _METHOD_DEPTH = {"CW_a": 1, "CW_b": 1, "GQ1": 1, "GQ2": 2, "GQn": None}
 
 
-def _cw_a_legs(model, target, band):
-    chosen = None
-    for n in range(1, ORDER_CAP[HERMITE] + 1):
-        pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
-        if all(band.contains(k) for k, _ in pairs):
-            chosen = pairs
-            continue
-        if chosen is None:
-            raise SpanningError(
-                f"band [{band.lo}, {band.hi}] excludes the hermite center strike "
-                f"{pairs[0][0]:.4f}"
-            )
-        break
-    return [HedgeLeg(k, band.maturity, w) for k, w in chosen]
+def _outside_stacklevel():
+    """The ``warnings.warn`` stacklevel, counted from the caller of this
+    function, of the first frame outside this module."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
-def _cw_b_legs(model, target, band, n):
-    pairs = hermite_strike_map(model, target.strike, target.maturity, band.maturity, n)
+def _cw_a_legs(model, target, band, ladder):
+    """The largest ``ladder(model, u, n)`` whose strikes all fit ``band``.
+
+    The order search maps strikes only; the gamma weight is evaluated at
+    the chosen order, or at order 1 before the centre strike is rejected.
+    A strike the weight rejects (0 or inf) ends the search too, and the
+    ladder of that order then raises the weight's error, so errors come as
+    when every trial order was weighted.
+    """
+    u, n, fits = band.maturity, 0, True
+    while fits and n < ORDER_CAP[HERMITE]:
+        _, strikes, _ = _hermite_strikes(model, target.strike, target.maturity, u, n + 1)
+        fits = all(band.contains(k) and k > 0.0 for k in strikes.tolist())
+        n += fits
+    pairs = ladder(model, u, max(n, 1))
+    if not fits and not all(0.0 < k < math.inf for k in strikes.tolist()):
+        ladder(model, u, n + 1)  # raises: the weight rejects these strikes
+    if n == 0:
+        raise SpanningError(
+            f"band [{band.lo}, {band.hi}] excludes the hermite center strike "
+            f"{pairs[0][0]:.4f}"
+        )
+    return [HedgeLeg(k, u, w) for k, w in pairs]
+
+
+def _cw_b_legs(band, n, pairs):
+    """The rungs of the order-``n`` ladder ``pairs`` inside ``band``; warns,
+    naming the caller of the public builder, when none is left."""
     kept = [(k, w) for k, w in pairs if band.contains(k)]
     if not kept:
         warnings.warn(
             f"all {n} hermite strikes fall outside [{band.lo}, {band.hi}]; "
             "portfolio is pure cash",
-            stacklevel=4,
+            stacklevel=_outside_stacklevel(),
         )
     return [HedgeLeg(k, band.maturity, w) for k, w in kept]
 
 
-def _gq_levels(model, target, bands, n, cfg):
-    """Yield the legs of each level of the order-``n`` Legendre recursion
-    over ``bands``, computing a level only when it is asked for: level 1
-    carries the target's gamma weight, and each later level the excluded
-    mass of the level before it (never read by level 1, so ``cfg`` only
-    matters past it)."""
-    carry = None
-    for i, band in enumerate(bands):
-        if i:
-            carry = _excluded_mass(model, target, bands[i - 1], cfg, carry)
-        rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
-        wt = _level_weight(model, target, rule.nodes, band.maturity, carry)
-        yield [HedgeLeg(k, band.maturity, w)
-               for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())]
+class _Shared:
+    """The work the cases of one ``build_sweep`` call share, each piece
+    computed on first use and keyed by the frozen model and band
+    dataclasses:
 
+    * the excluded mass carried into level ``i`` of the Legendre recursion,
+      by ``(model, bands[:i])``: it never reads the order;
+    * the legs of level ``i`` at order ``n``, by ``(model, bands[:i + 1], n)``;
+    * the Hermite ladder of order ``n`` at maturity ``u``, by ``(model, u, n)``;
+    * the ``CW_a`` legs, by ``(model, band)``.
 
-def _method_legs(model, target, bands, name, n, cfg, levels):
-    """Legs of static method ``name``, sorted by (maturity, strike).
-    ``levels`` maps each GQ order to its ``_gq_levels`` generator and the
-    levels it has yielded so far; a new order gets an entry."""
-    if name not in _METHOD_DEPTH:
-        raise SpanningError(f"unknown static method {name!r}")
-    depth = _METHOD_DEPTH[name] or len(bands)
-    if not bands:
-        raise SpanningError("at least one strike band is required")
-    if len(bands) < depth:
-        raise SpanningError(f"{name} needs {depth} strike bands, got {len(bands)}")
-    if depth > MAX_BANDS:
-        raise SpanningError(f"at most {MAX_BANDS} short maturities supported, got {depth}")
-    check_band_order(bands[:depth], target)
-    if name == "CW_a":
-        legs = _cw_a_legs(model, target, bands[0])
-    elif name == "CW_b":
-        legs = _cw_b_legs(model, target, bands[0], n)
-    else:
-        if n not in levels:
-            levels[n] = (_gq_levels(model, target, bands, n, cfg), [])
-        gen, done = levels[n]
-        while len(done) < depth:
-            done.append(next(gen))
-        legs = [leg for level in done[:depth] for leg in level]
-    return tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
+    A failure leaves the call, so only finished work is ever reused, and
+    the first failure is the one building each case on its own meets.
+    """
+
+    def __init__(self, target, cfg):
+        self.target, self.cfg = target, cfg
+        self.carries, self.levels, self.ladders, self.cw_a = {}, {}, {}, {}
+
+    @staticmethod
+    def _get(store, key, compute):
+        if key not in store:
+            store[key] = compute()
+        return store[key]
+
+    def ladder(self, model, u, n):
+        return self._get(self.ladders, (model, u, n), lambda: hermite_strike_map(
+            model, self.target.strike, self.target.maturity, u, n))
+
+    def carry(self, model, bands, i):
+        """The carry into level ``i``: None at level 0, where the weight is
+        the target's gamma."""
+        if i == 0:
+            return None
+        return self._get(self.carries, (model, bands[:i]), lambda: _excluded_mass(
+            model, self.target, bands[i - 1], self.cfg, self.carry(model, bands, i - 1)))
+
+    def level(self, model, bands, i, n):
+        def compute():
+            carry = self.carry(model, bands, i)
+            band = bands[i]
+            rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
+            wt = _level_weight(model, self.target, rule.nodes, band.maturity, carry)
+            return [HedgeLeg(k, band.maturity, w)
+                    for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())]
+        return self._get(self.levels, (model, bands[:i + 1], n), compute)
+
+    def method_legs(self, model, bands, name, n):
+        """Legs of static method ``name`` on the tuple ``bands``, sorted by
+        (maturity, strike)."""
+        if name not in _METHOD_DEPTH:
+            raise SpanningError(f"unknown static method {name!r}")
+        depth = _METHOD_DEPTH[name] or len(bands)
+        if not bands:
+            raise SpanningError("at least one strike band is required")
+        if len(bands) < depth:
+            raise SpanningError(f"{name} needs {depth} strike bands, got {len(bands)}")
+        if depth > MAX_BANDS:
+            raise SpanningError(f"at most {MAX_BANDS} short maturities supported, got {depth}")
+        check_band_order(bands[:depth], self.target)
+        if name == "CW_a":
+            legs = self._get(self.cw_a, (model, bands[0]),
+                             lambda: _cw_a_legs(model, self.target, bands[0], self.ladder))
+        elif name == "CW_b":
+            legs = _cw_b_legs(bands[0], n, self.ladder(model, bands[0].maturity, n))
+        else:
+            legs = [leg for i in range(depth) for leg in self.level(model, bands, i, n)]
+        return tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
 
 
 def _inception_pairs(target, method_legs):
@@ -324,6 +380,75 @@ def _inception_pairs(target, method_legs):
         yield target.strike, target.maturity
 
 
+def _inception_marks(S, target, built):
+    """``{model: marks}`` at inception for the ``(model, {method: legs})``
+    of ``built``: one ``call_marks`` pass per distinct model over its cases'
+    pairs in case order.  On a pricing error every case is priced on its
+    own, in order, so the error raised is the one that order meets first."""
+    pairs = {}
+    for model, legs in built:
+        pairs.setdefault(model, []).extend(_inception_pairs(target, legs.values()))
+    try:
+        return {model: call_marks(model, S, 0.0, p) for model, p in pairs.items()}
+    except NumericalError:
+        for model, legs in built:
+            call_marks(model, S, 0.0, _inception_pairs(target, legs.values()))
+        raise
+
+
+def _priced(target, S, name, legs, marks):
+    """The portfolio of ``legs`` with ``b0`` the target mark minus the
+    weighted leg marks."""
+    price = marks[target.strike, target.maturity]
+    return HedgePortfolio(target, float(S), legs, float(price - _legs_value(legs, marks)), name)
+
+
+def build_sweep(
+    target: OptionRef,
+    S: float,
+    cases,
+    cfg: ModifiedWeightConfig = ModifiedWeightConfig(),
+) -> list:
+    """Every static hedge of every case of a sweep in one pass.
+
+    ``cases`` lists one ``(model, bands, orders)`` per sweep value, in
+    value order, where ``orders`` maps each method (``CW_a``, ``CW_b``,
+    ``GQ1``, ``GQ2``, ``GQn``) to its quadrature order (``CW_a`` picks its
+    own and ignores it).  Returns one ``{method: HedgePortfolio}`` per
+    case, in the order of its ``orders``.
+
+    ``CW_a`` and ``CW_b`` hedge with ``bands[0]``, ``GQ1`` and ``GQ2``
+    with the first one and two bands, and ``GQn`` with all of them.  The
+    GQ hedges are nested: the ``GQ2`` legs are the ``GQ1`` legs plus a
+    second level, and the mass a level carries down never depends on the
+    order.  So each carry, each GQ level, each Hermite ladder and each
+    ``CW_a`` ladder is computed once for the whole call (see ``_Shared``);
+    ``cfg`` sizes the excluded-region rules of levels past the first.  Then
+    one ``call_marks`` pass per distinct model marks the target and every
+    leg at inception, and each ``b0`` is the target mark minus the weighted
+    leg marks summed in leg order.  Nothing outlives the call.
+
+    Cases are built in order, and each case's methods in the order of its
+    ``orders``; the first one that fails raises, unless the inception
+    pricing of an earlier case or method fails, which comes first.
+    """
+    _require_call_target(target)
+    shared = _Shared(target, cfg)
+    built = []
+    try:
+        for model, bands, orders in cases:
+            bands, legs = tuple(bands), {}
+            built.append((model, legs))
+            for name, n in orders.items():
+                legs[name] = shared.method_legs(model, bands, name, n)
+    finally:
+        # Also after a failed build: a pricing error of an earlier case or
+        # method comes first, as when each case was priced after its build.
+        marks = _inception_marks(S, target, built)
+    return [{name: _priced(target, S, name, method_legs, marks[model])
+             for name, method_legs in legs.items()} for model, legs in built]
+
+
 def build_portfolios(
     model: ModelSpec,
     target: OptionRef,
@@ -332,40 +457,10 @@ def build_portfolios(
     orders: dict,
     cfg: ModifiedWeightConfig = ModifiedWeightConfig(),
 ) -> dict:
-    """Every static hedge of one target, model and set of bands in one
-    pass: ``{method: HedgePortfolio}`` in the order of ``orders``, which
-    maps each method (``CW_a``, ``CW_b``, ``GQ1``, ``GQ2``, ``GQn``) to
-    its quadrature order (``CW_a`` picks its own and ignores it).
-
-    ``CW_a`` and ``CW_b`` hedge with ``bands[0]``, ``GQ1`` and ``GQ2``
-    with the first one and two bands, and ``GQn`` with all of them.  The
-    GQ hedges are nested: the ``GQ2`` legs are the ``GQ1`` legs plus a
-    second level, so the Legendre recursion runs once per distinct order
-    and each method takes its prefix of levels; ``cfg`` sizes the
-    excluded-region rules of levels past the first.  Then one
-    ``call_marks`` pass marks the target and every leg at inception, and
-    each ``b0`` is the target mark minus the weighted leg marks summed in
-    leg order.
-
-    Methods are built in the order of ``orders``; the first one that
-    fails, in its build or in its inception pricing, raises.
-    """
-    _require_call_target(target)
-    bands = list(bands)
-    levels, built = {}, {}
-    try:
-        for name, n in orders.items():
-            built[name] = _method_legs(model, target, bands, name, n, cfg, levels)
-    finally:
-        # Also after a failed build: a pricing error of an earlier method
-        # comes first, as when each method was priced right after its build.
-        marks = call_marks(model, S, 0.0, _inception_pairs(target, built.values()))
-    if not built:
-        return {}
-    price = marks[target.strike, target.maturity]
-    return {name: HedgePortfolio(target, float(S), legs, float(price - _legs_value(legs, marks)),
-                                 name)
-            for name, legs in built.items()}
+    """Every static hedge of one target, model and set of bands:
+    ``{method: HedgePortfolio}`` in the order of ``orders``, the one-case
+    call of ``build_sweep``."""
+    return build_sweep(target, S, [(model, bands, orders)], cfg)[0]
 
 
 def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) -> HedgePortfolio:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,46 @@ def test_first_failing_method_in_config_order_raises(tmp_path, capsys, model, ba
     for command in ("sweep", "build"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+_CALM = dict(_JUMPY, lam=1.0)
+_SERIES_ERROR_200 = ("jump series not converged after 180 terms "
+                     "(lam * tau = 200, lam * (1 + g) * tau = 182.503)")
+
+
+@pytest.mark.parametrize("model, methods, band, values, error, message", [
+    # value 1 fails at inception pricing (lam T = 150), value 2 already in its build
+    (_CALM, ["GQ1"], None, ("lambda", [150.0, 400.0]), SeriesError, _SERIES_ERROR),
+    # the middle value of [a, b, a] fails in its build (lam 400) or its inception pricing (150)
+    (_CALM, ["CW_b", "GQ1"], None, ("lambda", [1.0, 400.0, 1.0]), SeriesError,
+     _SERIES_ERROR_200),
+    (_CALM, ["CW_b", "GQ1"], None, ("lambda", [1.0, 150.0, 1.0]), SeriesError, _SERIES_ERROR),
+    # CW_a's band excludes the Hermite centre only at value 2
+    (None, ["GQ1", "CW_a"], {"maturity": 0.1587, "lo": 60.0, "hi": 140.0},
+     ("band", [[{"lo": 60.0, "hi": 140.0}], [{"lo": 120.0, "hi": 130.0}],
+               [{"lo": 60.0, "hi": 140.0}]]),
+     SpanningError, "band [120.0, 130.0] excludes the hermite center strike 92.2061"),
+])
+def test_first_failing_sweep_value_raises(tmp_path, capsys, model, methods, band, values, error,
+                                          message):
+    variable, sweep = values
+    data = {
+        "model": model or {"type": "bs", "r": 0.06, "delta_yield": 0.0, "sigma": 0.27,
+                           "mu": 0.1},
+        "target": {"strike": 100.0, "maturity": 1.0, "spot": 100.0},
+        "methods": [{"name": name, "n": 4} for name in methods],
+        "bands": [band or {"maturity": 0.5, "lo": 60.0, "hi": 140.0}],
+        "sweep": {"variable": variable, "values": sweep},
+    }
+    with pytest.raises(error) as exc, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # CW_b at lam 150 is pure cash
+        run_experiment(parse_config(data))
+    assert type(exc.value) is error and str(exc.value) == message
+    cfg = _write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 def _five_bands(data):

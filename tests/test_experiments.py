@@ -252,14 +252,14 @@ def test_simulation_stats_in_report(tmp_path):
 
 def test_sweep_with_simulation_builds_each_portfolio_once(monkeypatch):
     built = []
-    builder = experiments.build_portfolios
+    builder = experiments.build_sweep
 
     def counted(*args, **kwargs):
         portfolios = builder(*args, **kwargs)
-        built.append(list(portfolios))
+        built.append([list(case) for case in portfolios])
         return portfolios
 
-    monkeypatch.setattr(experiments, "build_portfolios", counted)
+    monkeypatch.setattr(experiments, "build_sweep", counted)
     data = _base_config()
     data["methods"] = [{"name": "DH"}, {"name": "CW_a"}, {"name": "GQ1"}, {"name": "GQ2"}]
     data["bands"] = [{"maturity": 40 / 252, "lo": 80.0, "hi": 120.0},
@@ -269,8 +269,8 @@ def test_sweep_with_simulation_builds_each_portfolio_once(monkeypatch):
                           "horizon": 21 / 252, "checkpoints": [21 / 252]}
     report = run_experiment(parse_config(data))
     assert all("stats" in info for info in report.rows[0].methods.values())
-    # one build pass per sweep value, each building every static method once
-    assert built == [["CW_a", "GQ1", "GQ2"]] * 2
+    # one build pass per run, building every static method of each sweep value once
+    assert built == [[["CW_a", "GQ1", "GQ2"]] * 2]
 
 
 def _count_calls(monkeypatch, name):
@@ -351,17 +351,19 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
 
 def test_sweep_values_build_on_the_calling_thread(monkeypatch):
     callers = []
-    build = experiments.build_portfolios
+    build = experiments.build_sweep
 
     def recording_build(*args, **kwargs):
-        callers.append(threading.get_ident())
-        return build(*args, **kwargs)
+        built = build(*args, **kwargs)
+        callers.append((threading.get_ident(), [list(case) for case in built]))
+        return built
 
-    monkeypatch.setattr(experiments, "build_portfolios", recording_build)
+    monkeypatch.setattr(experiments, "build_sweep", recording_build)
     data = _small_simulation(_base_config(), n_paths=4)
     data["sweep"] = {"variable": "quad_points", "values": [4, 8]}
     run_experiment(parse_config(data), threads=4)
-    assert callers == [threading.get_ident()] * 2
+    # one build per run, on the calling thread, each value's method built once
+    assert callers == [(threading.get_ident(), [["GQ1"], ["GQ1"]])]
 
 
 def test_sweeping_into_the_maturity_guard_is_numerical_error():
@@ -497,4 +499,148 @@ def test_one_pass_build_prices_each_maturity_once_and_keeps_nothing(monkeypatch)
         before = len(prices), len(gammas)
         run_experiment(cfg)
         runs.append((len(prices) - before[0], len(gammas) - before[1]))
-    assert runs[0] == runs[1] and runs[0][0] == 3 * len(cfg.sweep.values)
+    # the sweep's values share one model: one inception call per maturity for the run
+    assert runs[0] == runs[1] and runs[0][0] == 3
+
+
+ROOT = CONFIG_DIR.parent
+
+
+def _load_module(path):
+    """Import a repository script by path; ``bench/`` and ``scripts/`` are
+    read, never written."""
+    import importlib.util
+    import sys
+
+    name = f"_loaded_{path.parent.name}_{path.stem}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _sweep_configs():
+    """(name, config) for every shipped config, the benchmark's generated
+    GQn pool, and the manifest's generated configs."""
+    workloads = _load_module(ROOT / "bench" / "workloads.py")
+    manifest = _load_module(ROOT / "scripts" / "report_manifest.py")
+    out = [(path.stem, load_config(path)) for path in sorted(CONFIG_DIR.glob("*.cfg"))]
+    out += [(f"gqn{i:02d}", parse_config(workloads.gqn_config(i)))
+            for i in range(workloads.N_GQN)]
+    generated = {"mixed_orders": manifest.MIXED_ORDERS, **manifest.SHARED_WORK}
+    return out + [(name, parse_config(json.loads(json.dumps(data))))
+                  for name, data in generated.items()]
+
+
+_ONE_METHOD = {
+    "CW_a": lambda args, bands, n, mw: spanning.build_cw_a(*args, bands[0]),
+    "CW_b": lambda args, bands, n, mw: spanning.build_cw_b(*args, bands[0], n),
+    "GQ1": lambda args, bands, n, mw: spanning.build_gq1(*args, bands[0], n),
+    "GQ2": lambda args, bands, n, mw: spanning.build_gq2(*args, bands[0], bands[1], n, mw),
+    "GQn": lambda args, bands, n, mw: spanning.build_gq_n(*args, bands, n, mw),
+}
+
+
+def _unshared_portfolio(model, target, S, bands, name, n, cfg):
+    """A static hedge built with nothing shared or cached: every Legendre
+    level from its own carry chain, every Hermite order weighted, and every
+    leg priced by its own ``call_price`` call."""
+    from statichedge.quadrature import HERMITE, LEGENDRE, ORDER_CAP, make_rule, map_to_interval
+
+    K, T, u = target.strike, target.maturity, bands[0].maturity
+    if name == "CW_a":
+        for order in range(1, ORDER_CAP[HERMITE] + 1):
+            trial = spanning.hermite_strike_map(model, K, T, u, order)
+            if not all(bands[0].contains(k) for k, _ in trial):
+                break
+            pairs = trial
+        legs = [spanning.HedgeLeg(k, u, w) for k, w in pairs]
+    elif name == "CW_b":
+        legs = [spanning.HedgeLeg(k, u, w) for k, w in spanning.hermite_strike_map(model, K, T, u, n)
+                if bands[0].contains(k)]
+    else:
+        legs, carry = [], None
+        for i, band in enumerate(bands[:{"GQ1": 1, "GQ2": 2}.get(name, len(bands))]):
+            if i:
+                carry = spanning._excluded_mass(model, target, bands[i - 1], cfg, carry)
+            rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
+            wt = spanning._level_weight(model, target, rule.nodes, band.maturity, carry)
+            legs += [spanning.HedgeLeg(k, band.maturity, w)
+                     for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())]
+    legs = tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
+    total = 0.0
+    for leg in legs:
+        total = total + leg.weight * models.call_price(model, S, 0.0, leg.strike, leg.maturity)
+    b0 = models.call_price(model, S, 0.0, K, T) - total
+    return spanning.HedgePortfolio(target, float(S), legs, float(b0), name)
+
+
+@pytest.mark.filterwarnings("ignore:all .* hermite strikes fall outside")
+def test_sweep_build_is_bitwise_the_per_value_builds():
+    for name, cfg in _sweep_configs():
+        contexts = experiments._value_contexts(cfg, cfg.sweep.values)
+        for value, (model, orders, portfolios) in zip(cfg.sweep.values, contexts):
+            _, bands, _ = experiments._resolve(cfg, value)
+            static = {m.name: orders[m.name] for m in cfg.methods
+                      if m.name in experiments._STATIC_METHODS}
+            args = (model, cfg.target, cfg.spot)
+            alone = spanning.build_portfolios(*args, bands, static, cfg.modified_weight)
+            single = {method: _ONE_METHOD[method](args, bands, n, cfg.modified_weight)
+                      for method, n in static.items()}
+            unshared = {method: _unshared_portfolio(*args, bands, method, n, cfg.modified_weight)
+                        for method, n in static.items()}
+            swept = {method: repr(p) for method, p in portfolios.items()}
+            assert list(portfolios) == list(static), name
+            assert swept == {method: repr(p) for method, p in unshared.items()}, (name, value)
+            assert swept == {method: repr(p) for method, p in alone.items()}, (name, value)
+            assert swept == {method: repr(p) for method, p in single.items()}, (name, value)
+
+
+def _run_counts(cfg, calls):
+    """Run ``cfg`` twice; each run's count of every recorded call list."""
+    runs = []
+    for _ in range(2):
+        before = [len(c) for c in calls]
+        run_experiment(cfg)
+        runs.append([len(c) - b for c, b in zip(calls, before)])
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def test_sweep_computes_each_carry_once_per_run(monkeypatch):
+    carries = _record_calls(monkeypatch, spanning, "_excluded_mass")
+    gammas = _record_calls(monkeypatch, spanning, "strike_gamma_weight")
+    prices = _record_calls(monkeypatch, models, "call_price")
+    data = _base_config(model=dict(_MJD), bands=_MIX_BANDS,
+                        methods=[{"name": "GQ1"}, {"name": "GQ2"}, {"name": "GQn"}],
+                        sweep={"variable": "quad_points", "values": [6, 10]})
+    cfg = parse_config(data)
+    n_carries, _, n_prices = _run_counts(cfg, [carries, gammas, prices])
+    # the carries into levels 2-4 serve both orders
+    assert n_carries == len(_MIX_BANDS) - 1
+    assert [args[2] for args in carries[:n_carries]] == list(cfg.bands[:-1])
+    # one model: one inception call per maturity, the target's included
+    assert n_prices == len(_MIX_BANDS) + 1
+
+
+def test_cw_a_weights_one_ladder_per_distinct_band(monkeypatch):
+    gammas = _record_calls(monkeypatch, spanning, "strike_gamma_weight")
+    data = _base_config(model=dict(_MJD), bands=_MIX_BANDS[:1], methods=[{"name": "CW_a"}],
+                        sweep={"variable": "u1", "values": [0.3, 0.2, 0.3, 0.12]})
+    (n_gammas,) = _run_counts(parse_config(data), [gammas])
+    assert n_gammas == 3
+
+
+def test_sweep_prices_each_model_and_maturity_once(monkeypatch):
+    prices = _record_calls(monkeypatch, models, "call_price")
+    data = _base_config(model=dict(_MJD), bands=_MIX_BANDS[:3],
+                        methods=[{"name": "CW_a"}, {"name": "CW_b", "n": 9},
+                                 {"name": "GQ1", "n": 4}, {"name": "GQ2", "n": 6},
+                                 {"name": "GQn", "n": 8}],
+                        sweep={"variable": "lambda", "values": [1.0, 2.0, 1.0]})
+    (n_prices,) = _run_counts(parse_config(data), [prices])
+    # two distinct models, each marking 3 band maturities and the target's
+    assert n_prices == 2 * 4
+    assert {(args[0].lam, args[4]) for args in prices[:n_prices]} == {
+        (lam, T) for lam in (1.0, 2.0) for T in (0.3, 0.2, 0.12, 1.0)}

@@ -9,6 +9,7 @@ from statichedge import (
     HedgePortfolio,
     ModifiedWeightConfig,
     OptionRef,
+    SeriesError,
     SingularMaturityError,
     SpanningError,
     StrikeBand,
@@ -18,6 +19,8 @@ from statichedge import (
     build_gq1,
     build_gq2,
     build_gq_n,
+    build_portfolios,
+    build_sweep,
     call_price,
     edl,
     hermite_strike_map,
@@ -132,6 +135,43 @@ def test_cw_b_all_dropped(bs_model, target):
     assert portfolio.b0 == pytest.approx(
         call_price(bs_model, SPOT, 0.0, STRIKE, MATURITY)
     )
+
+
+def test_cw_b_warning_names_the_caller_of_the_public_builder(bs_model, target):
+    band = StrikeBand(U1, 200.0, 210.0)
+    with pytest.warns(UserWarning, match="pure cash") as record:
+        build_cw_b(bs_model, target, SPOT, band, 3)
+        build_portfolios(bs_model, target, SPOT, [band], {"CW_b": 3})
+        # once per CW_b build of each case, the shared ladder notwithstanding
+        build_sweep(target, SPOT, [(bs_model, [band], {"CW_b": 3})] * 2)
+    assert [w.filename for w in record] == [__file__] * 4
+
+
+def test_sweep_pricing_error_is_the_first_in_case_order(monkeypatch, bs_model, mjd_model,
+                                                        target):
+    # Pricing fails for the jump model everywhere and for the diffusion model
+    # only at the third case's band maturity.  Case by case the jump model's
+    # case fails first, although the diffusion model's pass is the first one.
+    from statichedge import spanning
+
+    marks = spanning.call_marks
+
+    def failing_marks(model, S, t, pairs):
+        pairs = list(pairs)
+        bad = {m for _, m in pairs if model == mjd_model or m == 0.05}
+        if bad:
+            raise SeriesError(f"{type(model).__name__} at {min(bad)}")
+        return marks(model, S, t, pairs)
+
+    monkeypatch.setattr(spanning, "call_marks", failing_marks)
+    orders = {"GQ1": 4}
+    cases = [(bs_model, [StrikeBand(U1, 80.0, 120.0)], orders),
+             (mjd_model, [StrikeBand(U1, 80.0, 120.0)], orders),
+             (bs_model, [StrikeBand(0.05, 80.0, 120.0)], orders)]
+    with pytest.raises(SeriesError, match=f"^MjdParams at {U1}$"):
+        build_sweep(target, SPOT, cases)
+    with pytest.raises(SeriesError, match="^BsParams at 0.05$"):
+        build_sweep(target, SPOT, cases[::2])
 
 
 # ---------------------------------------------------------------------------
