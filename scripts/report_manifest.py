@@ -6,10 +6,12 @@ Every config in ``<root>/configs`` runs through ``sweep`` in each format
 config of the benchmark pool (3-4 band BS and MJD hedges, some with
 ``modified_weight`` overrides), which ``bench.workloads.write_gqn_configs``
 writes to a temporary directory; ``bench/`` is only read.  Configs with
-a simulation block also run through ``simulate --errors``, ``pfe`` and
-``sweep --threads 2 --seed 7`` (a second seed on a thread pool, so the
-per-model grouping of sweep values and the split of paths across threads
-are covered too); the others run through ``sweep --threads 2`` as well.
+a simulation block also run through ``simulate --errors``, ``pfe``,
+``sweep --threads 1`` (the serial path: every other call uses the default
+thread count, the CPUs the process may use) and ``sweep --threads 2 --seed
+7`` (a second seed on a two-thread pool, so the per-model grouping of sweep
+values and the pricing blocks run on the pool are covered too); the others
+run through ``sweep --threads 2`` as well.
 ``table5.cfg`` also runs ``simulate --errors`` with a seed of three 32-bit
 words (2^64 + 3), so the per-path seeding of multi-word seeds is covered.
 One more generated config, ``mixed_orders.cfg``, runs every static method
@@ -49,6 +51,7 @@ def _calls(config: Path):
     calls += [("build", ["build"]), ("price", ["price"])]
     if "simulation" in json.loads(config.read_text()):
         calls += [("simulate-errors", ["simulate", "--errors"]), ("pfe", ["pfe"]),
+                  ("sweep-threads1", ["sweep", "--threads", "1"]),
                   ("sweep-threads2-seed7", ["sweep", "--threads", "2", "--seed", "7"])]
     else:
         calls.append(("sweep-threads2", ["sweep", "--threads", "2"]))

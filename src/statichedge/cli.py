@@ -66,7 +66,9 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("sweep", "simulate"):
             formats = ["csv", "json", "plot"] if name == "sweep" else ["csv", "json"]
             cmd.add_argument("--format", default="csv", choices=formats)
-            cmd.add_argument("--threads", type=_positive_int, default=1)
+            cmd.add_argument("--threads", type=_positive_int, default=None,
+                             help="pricing threads of the hedge runs "
+                                  "(default: the CPUs this process may use)")
         if name in ("sweep", "simulate", "pfe"):
             cmd.add_argument("--seed", type=int, default=None,
                              help="override the simulation seed")

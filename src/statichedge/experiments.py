@@ -7,11 +7,13 @@ produces one report row per sweep value with the inception error of every
 method (plus the loss-reduction percentage when both one- and
 two-maturity quadrature hedges are present), and, when a simulation block
 is given, cross-path hedge-error statistics at the requested checkpoint
-times.  It resolves every sweep value first and then builds the static
-hedges of all of them in one ``spanning.build_sweep`` call, so values
-that share a band, a carry, a ladder or a model share that work.  Reports
-are deterministic given the config: re-running byte-reproduces every
-emitted file regardless of the thread count.
+times.  ``parse_config`` resolves every sweep value once; the runner then
+builds the static hedges of all of them in one ``spanning.build_sweep``
+call, so values that share a band, a carry, a ladder or a model share that
+work.  The Monte-Carlo hedge runs price on one thread pool
+(``simulate_methods``).  Reports are deterministic given the config:
+re-running byte-reproduces every emitted file regardless of the thread
+count.
 
 Config schema::
 
@@ -51,9 +53,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +67,6 @@ from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, Optio
 from .quadrature import HERMITE, LEGENDRE, ORDER_CAP
 from .simulation import (
     HedgeErrorStats,
-    PathSet,
     SimConfig,
     _check_horizon,
     delta_hedge_run,
@@ -135,6 +137,9 @@ class ExperimentConfig:
     simulation: SimConfig | None
     checkpoints: tuple[float, ...]
     raw: dict
+    # Each sweep value's ``_resolve`` result, in value order: ``parse_config``
+    # resolves every value once, and ``run_experiment`` builds from these.
+    resolved: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _coerce(value, path: str, kind):
@@ -316,12 +321,9 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"methods[{i}].n: required unless sweeping quad_points")
         if m.name == "DH" and sim is None:
             raise ConfigError(f"methods[{i}]: DH requires a simulation block")
-    cfg = ExperimentConfig(
-        model, target, spot, tuple(methods), bands, sweep, mw_cfg, sim, checkpoints, data
-    )
-    for value in sweep.values:
-        _resolve(cfg, value)
-    return cfg
+    parts = (model, target, spot, tuple(methods), bands, sweep, mw_cfg, sim, checkpoints, data)
+    cfg = ExperimentConfig(*parts)
+    return ExperimentConfig(*parts, tuple(_resolve(cfg, value) for value in sweep.values))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -420,10 +422,16 @@ def _resolve(cfg: ExperimentConfig, value):
 
 def _value_contexts(cfg: ExperimentConfig, values) -> list:
     """Resolve each sweep value to ``(model, per-method orders,
-    portfolios)``.  Every value is resolved first; then one ``build_sweep``
-    call builds the static portfolios (all methods but DH) of all of them,
-    sharing the work the values have in common."""
-    resolved = [_resolve(cfg, value) for value in values]
+    portfolios)``: every value is resolved first, then ``_build_contexts``
+    builds them."""
+    return _build_contexts(cfg, [_resolve(cfg, value) for value in values])
+
+
+def _build_contexts(cfg: ExperimentConfig, resolved) -> list:
+    """The ``(model, per-method orders, portfolios)`` of each ``_resolve``
+    result in ``resolved``: one ``build_sweep`` call builds the static
+    portfolios (all methods but DH) of all of them, sharing the work the
+    values have in common."""
     cases = [(model, bands, {m.name: orders[m.name] for m in cfg.methods
                              if m.name in _STATIC_METHODS})
              for model, bands, orders in resolved]
@@ -437,7 +445,16 @@ def _value_context(cfg: ExperimentConfig, value):
     return _value_contexts(cfg, [value])[0]
 
 
-def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads: int = 1) -> list:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one, else the CPU count): the default thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads=None) -> list:
     """Hedge errors of every method for each resolved sweep value.
 
     ``contexts`` holds ``_value_contexts`` results.  Returns one ``{method
@@ -448,35 +465,27 @@ def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads: int
     ``u1`` or ``u2`` sweep) form one group: one path set, one delta hedge
     and one static walk over all the group's portfolios, so every method
     and value of a group sees the same paths (common random numbers).
-    Both hedge runs split each group's paths into ``min(threads,
-    n_paths)`` contiguous blocks, on a thread pool when there is more than
-    one block; they are elementwise across paths, so the result does not
-    depend on ``threads``.
+
+    With ``threads`` above 1 (default: ``_usable_cpus()``) one pool of
+    ``threads - 1`` worker threads serves the whole call: the hedge runs
+    walk on the calling thread and hand the pool to ``call_price`` and
+    ``delta``, which share their blocks between the calling thread and the
+    pool.  Blocking never changes a value, so the result does not depend on
+    ``threads``.
     """
+    threads = _usable_cpus() if threads is None else threads
     has_dh = any(m.name == "DH" for m in cfg.methods)
     groups = {}
     for index, (model, _, _) in enumerate(contexts):
         groups.setdefault(model, []).append(index)
-    n = cfg.simulation.n_paths
-    k = min(threads, n)
-    blocks = [slice(n * b // k, n * (b + 1) // k) for b in range(k)]
     out = [None] * len(contexts)
-    with ThreadPoolExecutor(max_workers=k) if k > 1 else nullcontext() as pool:
-        pmap = pool.map if pool else map
+    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
         for model, indices in groups.items():
             paths = simulate_paths(model, cfg.simulation)
             portfolios = [p for i in indices for p in contexts[i][2].values()]
-
-            def run(rows):
-                # The delta hedge's errors first (when configured), then each portfolio's.
-                block = PathSet(paths.times, paths.values[rows])
-                errors = static_hedge_runs(block, portfolios, model, columns)
-                if has_dh:
-                    errors.insert(0, delta_hedge_run(block, model, cfg.target, columns))
-                return errors
-
-            errors = iter([np.concatenate(part) for part in zip(*pmap(run, blocks))])
-            dh = next(errors) if has_dh else None
+            errors = iter(static_hedge_runs(paths, portfolios, model, columns, pool))
+            dh = (delta_hedge_run(paths, model, cfg.target, columns, pool)
+                  if has_dh else None)
             for i in indices:
                 static = {name: next(errors) for name in contexts[i][2]}
                 out[i] = {m.name: dh if m.name == "DH" else static[m.name] for m in cfg.methods}
@@ -504,17 +513,17 @@ def _inception_row(cfg: ExperimentConfig, value, orders, portfolios) -> ReportRo
     return ReportRow(value, methods, pdl_value)
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_experiment(cfg: ExperimentConfig, threads=None) -> Report:
     """Evaluate every sweep value; rows keep the config's value order and
     the result is independent of ``threads``.
 
-    Every value is resolved, then all are built in one ``build_sweep``
+    The values ``parse_config`` resolved are built in one ``build_sweep``
     call on the calling thread; ``simulate_methods`` then hedges every
-    value at the checkpoint columns, splitting each group's paths into
-    ``threads`` blocks.
+    value at the checkpoint columns, pricing on ``threads`` threads
+    (default: ``_usable_cpus()``).
     """
     values = list(cfg.sweep.values)
-    contexts = _value_contexts(cfg, values)
+    contexts = _build_contexts(cfg, cfg.resolved)
     rows = [_inception_row(cfg, value, orders, portfolios)
             for value, (_, orders, portfolios) in zip(values, contexts)]
     if cfg.simulation is not None:

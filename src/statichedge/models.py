@@ -68,17 +68,14 @@ MAX_SPOT_EXPONENT = 600.0
 # at most 3 x (MAX_TERMS + 1) floats, so a full cache stays below 5 MB.
 SERIES_CACHE_SIZE = 1024
 
-# Largest (spots x strikes x series terms) block that ``call_marks`` hands
-# to one ``call_price`` call, and largest block of uniforms that
+# Largest (elements x series terms) block that ``call_price`` and ``delta``
+# evaluate at once, and largest block of uniforms that
 # ``simulation.simulate_paths`` transforms at once; bigger blocks only
-# raise peak memory.
+# raise peak memory.  Given an executor, the two kernels share their blocks
+# between the calling thread and the executor.
 MAX_BLOCK = 2 ** 15
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _npdf(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
 def _require_finite(name, value):
@@ -249,38 +246,101 @@ def _mixture(model: ModelSpec, tau: float):
     return 1.0, model.r, model.sigma, math.exp(-q * tau), math.exp(-model.r * tau), 1.0
 
 
-def _d1(Sa, Ka, tau, q, rates, vols):
-    """Per-term ``d1`` on a trailing series axis, and ``vols sqrt(tau)``."""
+def _d1(Sa, Ka, tau, q, rates, vols, out=None):
+    """Per-term ``d1`` on a trailing series axis, written to ``out`` (a
+    fresh array when None), and ``vols sqrt(tau)``."""
     st = vols * math.sqrt(tau)
-    d1 = (np.log(Sa[..., None] / Ka[..., None]) + (rates - q + 0.5 * vols ** 2) * tau) / st
+    d1 = np.add(np.log(Sa[..., None] / Ka[..., None]), (rates - q + 0.5 * vols ** 2) * tau,
+                out=out)
+    d1 /= st
     return d1, st
 
 
-def call_price(model: ModelSpec, S, t, K, T):
+def _in_blocks(body, Sa, Ka, n_terms, n_work, executor):
+    """``body(Sa, Ka, work)`` on the broadcast of ``Sa`` and ``Ka``,
+    evaluated in row blocks of at most ``MAX_BLOCK`` (elements x
+    ``n_terms``).
+
+    ``body`` must be elementwise apart from a per-element sum over a
+    trailing term axis, so every block gives its elements bitwise what one
+    call on the whole input gives.  ``work`` holds ``n_work`` scratch
+    arrays shaped like the block's (elements, terms) grid, which ``body``
+    may overwrite.  Input that fits one block goes to ``body`` as it is.
+    Larger input is flattened, and its blocks are shared out between the
+    calling thread and, when ``executor`` is given, tasks on it; each
+    thread reuses one workspace for every block it takes, and each block
+    writes its own slice of the result.  ``body`` may run on a worker
+    thread, so it calls no public function of the package and no
+    ``mjd_series_terms``: those run on the calling thread, where the
+    benchmark's span tracer follows them.
+    """
+    grid = np.broadcast(Sa, Ka)
+    step = max(1, MAX_BLOCK // n_terms)
+    if grid.size <= step:
+        return body(Sa, Ka, np.empty((n_work, *grid.shape, n_terms)))
+    Sf = np.broadcast_to(Sa, grid.shape).reshape(-1)
+    Kf = np.broadcast_to(Ka, grid.shape).reshape(-1)
+    out = np.empty(grid.size)
+    blocks = range(0, grid.size, step)
+    starts = iter(blocks)  # shared: each thread takes the next block
+
+    def run():
+        work = None
+        for lo in starts:
+            hi = min(lo + step, grid.size)
+            if work is None:
+                work = np.empty((n_work, step, n_terms))
+            out[lo:hi] = body(Sf[lo:hi], Kf[lo:hi], work[:, :hi - lo])
+
+    helpers = [executor.submit(run) for _ in blocks[1:]] if executor is not None else []
+    run()
+    for helper in helpers:
+        helper.result()
+    return out.reshape(grid.shape)
+
+
+def call_price(model: ModelSpec, S, t, K, T, executor=None):
     """Risk-neutral price of a European call C(S, t, K, T).
 
     The ``_mixture`` sum of Black-Scholes prices with per-term rate r_n and
     vol sigma_n: one term under plain GBM, the Poisson-weighted series under
-    jump diffusion.  ``S`` and ``K`` broadcast.
+    jump diffusion.  ``S`` and ``K`` broadcast.  The sum is evaluated in
+    blocks of at most ``MAX_BLOCK`` (elements x series terms), shared
+    between the calling thread and ``executor`` (a
+    ``concurrent.futures.ThreadPoolExecutor``: the blocks write into one
+    shared result) when one is given; the result does not depend on either.
     """
     Sa, Ka = _as_positive_pair(S, K)
     tau = _tau_or_intrinsic(t, T)
     if tau is None:
         return _maybe_scalar(np.maximum(Sa - Ka, 0.0))
     probs, rates, vols, spot_disc, strike_disc, outer = _mixture(model, tau)
-    d1, st = _d1(Sa, Ka, tau, model.delta_yield, rates, vols)
-    terms = probs * (Sa[..., None] * spot_disc * ndtr(d1)
-                     - Ka[..., None] * strike_disc * ndtr(d1 - st))
-    return _maybe_scalar(np.asarray(outer * terms.sum(axis=-1)))
+    q = model.delta_yield
+
+    def body(Sa, Ka, work):
+        # probs ((S spot_disc) N(d1) - (K strike_disc) N(d1 - st)) in the
+        # workspace, with the rounding of that expression
+        d1, terms, spot_leg = work
+        d1, st = _d1(Sa, Ka, tau, q, rates, vols, out=d1)
+        ndtr(d1, out=terms)
+        terms *= np.multiply(Sa[..., None], spot_disc, out=spot_leg)
+        d1 -= st
+        strike_leg = ndtr(d1, out=d1)
+        strike_leg *= Ka[..., None] * strike_disc
+        terms -= strike_leg
+        terms *= probs
+        return outer * terms.sum(axis=-1)
+
+    return _maybe_scalar(np.asarray(_in_blocks(body, Sa, Ka, np.size(probs), 3, executor)))
 
 
-def call_marks(model: ModelSpec, S, t, pairs) -> dict:
+def call_marks(model: ModelSpec, S, t, pairs, executor=None) -> dict:
     """Mark each distinct ``(strike, maturity)`` in ``pairs`` once at spot
     ``S`` and time ``t``; returns ``{(strike, maturity): price}``.
 
-    The strikes of one maturity share a ``call_price`` call on a trailing
-    strike axis, in blocks of at most ``MAX_BLOCK`` (spots x strikes x
-    series terms) elements.  Pricing is elementwise and sums the series per
+    The strikes of one maturity share one ``call_price`` call on a leading
+    strike axis, which blocks the work and shares it with ``executor`` (see
+    ``call_price``).  Pricing is elementwise and sums the series per
     element, so every mark is bitwise ``call_price(model, S, t, strike,
     maturity)``.  Marks are floats for a scalar ``S``, else arrays shaped
     like ``S``.
@@ -292,15 +352,10 @@ def call_marks(model: ModelSpec, S, t, pairs) -> dict:
     marks = {}
     for maturity, strikes in by_maturity.items():
         strikes = list(strikes)
-        tau = _tau_or_intrinsic(t, maturity)
-        terms = 1 if tau is None else np.size(_mixture(model, tau)[0])
-        step = max(1, MAX_BLOCK // (max(Sa.size, 1) * terms))
-        for lo in range(0, len(strikes), step):
-            block = strikes[lo:lo + step]
-            prices = call_price(model, Sa[..., None], t, block, maturity)
-            columns = prices.tolist() if Sa.ndim == 0 else np.moveaxis(prices, -1, 0)
-            for strike, mark in zip(block, columns):
-                marks[strike, maturity] = mark
+        strike_axis = np.array(strikes, dtype=float).reshape((-1,) + (1,) * Sa.ndim)
+        prices = call_price(model, Sa, t, strike_axis, maturity, executor)
+        columns = prices.tolist() if Sa.ndim == 0 else prices
+        marks.update(zip(((strike, maturity) for strike in strikes), columns))
     return marks
 
 
@@ -315,21 +370,28 @@ def put_price(model: ModelSpec, S, t, K, T):
     return _maybe_scalar(np.asarray(out))
 
 
-def delta(model: ModelSpec, S, t, K, T):
+def delta(model: ModelSpec, S, t, K, T, executor=None):
     """Spot sensitivity dC/dS of the call pricing function.
 
     The exact derivative of the ``_mixture`` sum, outer * sum_n Pr(n)
     spot_disc_n N(d1_n); for the jump model a finite-difference
-    cross-check pins it down to ~1e-8.
+    cross-check pins it down to ~1e-8.  Blocked, and shared with
+    ``executor``, as ``call_price`` is.
     """
     Sa, Ka = _as_positive_pair(S, K)
     tau = _tau_or_intrinsic(t, T)
     if tau is None:
         raise DomainError("delta undefined at or after expiry")
     probs, rates, vols, spot_disc, _, outer = _mixture(model, tau)
-    d1, _ = _d1(Sa, Ka, tau, model.delta_yield, rates, vols)
-    terms = probs * spot_disc * ndtr(d1)
-    return _maybe_scalar(np.asarray(outer * terms.sum(axis=-1)))
+    q = model.delta_yield
+
+    def body(Sa, Ka, work):
+        d1, _ = _d1(Sa, Ka, tau, q, rates, vols, out=work[0])
+        terms = ndtr(d1, out=d1)
+        terms *= probs * spot_disc
+        return outer * terms.sum(axis=-1)
+
+    return _maybe_scalar(np.asarray(_in_blocks(body, Sa, Ka, np.size(probs), 1, executor)))
 
 
 def strike_gamma_weight(model: ModelSpec, x, u, K, T):
@@ -348,7 +410,13 @@ def strike_gamma_weight(model: ModelSpec, x, u, K, T):
         raise DomainError(f"weight undefined for u >= T (u={u!r}, T={T!r})")
     probs, rates, vols, spot_disc, _, outer = _mixture(model, tau)
     d1, st = _d1(xa, Ka, tau, model.delta_yield, rates, vols)
-    terms = probs * spot_disc * _npdf(d1) / (xa[..., None] * st)
+    # probs spot_disc n(d1) / (x st), with the normal density n in place
+    terms = np.square(d1, out=d1)
+    terms *= -0.5
+    np.exp(terms, out=terms)
+    terms /= _SQRT_2PI
+    terms *= probs * spot_disc
+    terms /= xa[..., None] * st
     return _maybe_scalar(np.asarray(outer * terms.sum(axis=-1)))
 
 

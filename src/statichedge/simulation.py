@@ -26,7 +26,7 @@ Hedge evolution marks everything under the risk-neutral parameters:
   risk-free rate, and rolls matured legs' payoffs forward in the money
   market.  It is one time-major walk that marks each distinct (strike,
   maturity) once per grid time: at every returned grid time it prices the
-  union of live legs and targets, one ``call_price`` pass per maturity
+  union of live legs and targets, one ``call_price`` call per maturity
   (``models.call_marks``), then adds each portfolio's weighted marks in
   its own leg order.  Every sum is therefore bitwise the one a walk over
   that portfolio alone computes, and ``static_hedge_run`` is the
@@ -35,8 +35,10 @@ Hedge evolution marks everything under the risk-neutral parameters:
 
 Errors are discounted (hedge minus target) and are exactly zero at time 0
 for every static portfolio, since ``b0`` absorbs the inception gap.  Both
-hedge runs are elementwise across paths, so running them on a block of
-paths gives those rows of the full run to the bit.
+hedge runs take an optional executor and hand it to ``call_price`` and
+``delta``, which share their blocks between the calling thread and the
+executor; the walks themselves stay on the calling thread, and the errors
+do not depend on the executor.
 
 The grid is ``SimConfig.times``, shared by ``simulate_paths`` and the CLI
 writers.  ``grid_index`` is the one on-grid rule (within ``1e-9`` of a
@@ -290,7 +292,7 @@ def _column_slots(times: np.ndarray, columns) -> tuple:
 
 
 def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
-                    columns=None) -> np.ndarray:
+                    columns=None, executor=None) -> np.ndarray:
     """Discounted errors of a discretely rebalanced delta hedge.
 
     Self-financing recursion ``V_i = D_{i-1} S_i + (V_{i-1} - D_{i-1}
@@ -301,6 +303,7 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
     (V_i - C(S_i, t_i))`` at grid index ``i = columns[j]`` (default: every
     grid time); grid index 0 is identically zero.  The recursion runs at
     every step, but the target is marked only at the returned grid times.
+    The kernels share their blocks with ``executor`` when one is given.
     """
     times = paths.times
     _check_horizon(times[-1], target)
@@ -313,10 +316,11 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
         h = times[i] - times[i - 1]
         # every path starts at S[0, 0], so the inception delta is one scalar
         spots = S[0, 0] if i == 1 else S[:, i - 1]
-        d_prev = delta(model, spots, times[i - 1], target.strike, target.maturity)
+        d_prev = delta(model, spots, times[i - 1], target.strike, target.maturity, executor)
         V = d_prev * S[:, i] + (V - d_prev * S[:, i - 1]) * math.exp(r * h)
         if i in slots:
-            marks = call_price(model, S[:, i], times[i], target.strike, target.maturity)
+            marks = call_price(model, S[:, i], times[i], target.strike, target.maturity,
+                               executor)
             errors[:, slots[i]] = (math.exp(-r * times[i]) * (V - marks))[:, None]
     return errors
 
@@ -335,7 +339,8 @@ def _leg_expiries(times: np.ndarray, portfolio: HedgePortfolio) -> list:
     return [maturity_index.get(leg.maturity) for leg in portfolio.legs]
 
 
-def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None) -> list:
+def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None,
+                      executor=None) -> list:
     """Discounted errors of several static hedges held on one path set.
 
     Returns one (n_paths, len(columns)) matrix per portfolio, column ``j``
@@ -344,7 +349,9 @@ def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None
     plus ``b0`` accrued at the risk-free rate, plus the intrinsic payoffs
     of its matured legs rolled forward in the money market.  Errors are
     ``e^{-r t} (hedge - target price)``.  Live legs and targets are marked
-    once per returned grid time for all portfolios together.
+    once per returned grid time for all portfolios together, one
+    ``call_price`` call per maturity, which shares its blocks with
+    ``executor`` when one is given.
     """
     times = paths.times
     expiries = [_leg_expiries(times, p) for p in portfolios]
@@ -370,7 +377,7 @@ def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None
         marks = call_marks(model, S[:, i], t, [
             *((p.target.strike, p.target.maturity) for p in portfolios),
             *((leg.strike, leg.maturity) for legs in live for leg in legs),
-        ])
+        ], executor)
         for k, portfolio in enumerate(portfolios):
             hedge = portfolio.b0 * math.exp(r * t) + matured[k]
             for leg in live[k]:

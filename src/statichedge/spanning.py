@@ -289,19 +289,6 @@ def _cw_a_legs(model, target, band, ladder):
     return [HedgeLeg(k, u, w) for k, w in pairs]
 
 
-def _cw_b_legs(band, n, pairs):
-    """The rungs of the order-``n`` ladder ``pairs`` inside ``band``; warns,
-    naming the caller of the public builder, when none is left."""
-    kept = [(k, w) for k, w in pairs if band.contains(k)]
-    if not kept:
-        warnings.warn(
-            f"all {n} hermite strikes fall outside [{band.lo}, {band.hi}]; "
-            "portfolio is pure cash",
-            stacklevel=_outside_stacklevel(),
-        )
-    return [HedgeLeg(k, band.maturity, w) for k, w in kept]
-
-
 class _Shared:
     """The work the cases of one ``build_sweep`` call share, each piece
     computed on first use and keyed by the frozen model and band
@@ -311,7 +298,8 @@ class _Shared:
       by ``(model, bands[:i])``: it never reads the order;
     * the legs of level ``i`` at order ``n``, by ``(model, bands[:i + 1], n)``;
     * the Hermite ladder of order ``n`` at maturity ``u``, by ``(model, u, n)``;
-    * the ``CW_a`` legs, by ``(model, band)``.
+    * each method's sorted legs, by the method, the model, the bands it
+      uses and its order (none for ``CW_a``, which picks its own).
 
     A failure leaves the call, so only finished work is ever reused, and
     the first failure is the one building each case on its own meets.
@@ -319,7 +307,7 @@ class _Shared:
 
     def __init__(self, target, cfg):
         self.target, self.cfg = target, cfg
-        self.carries, self.levels, self.ladders, self.cw_a = {}, {}, {}, {}
+        self.carries, self.levels, self.ladders, self.methods = {}, {}, {}, {}
 
     @staticmethod
     def _get(store, key, compute):
@@ -362,14 +350,28 @@ class _Shared:
         if depth > MAX_BANDS:
             raise SpanningError(f"at most {MAX_BANDS} short maturities supported, got {depth}")
         check_band_order(bands[:depth], self.target)
-        if name == "CW_a":
-            legs = self._get(self.cw_a, (model, bands[0]),
-                             lambda: _cw_a_legs(model, self.target, bands[0], self.ladder))
-        elif name == "CW_b":
-            legs = _cw_b_legs(bands[0], n, self.ladder(model, bands[0].maturity, n))
-        else:
-            legs = [leg for i in range(depth) for leg in self.level(model, bands, i, n)]
-        return tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
+
+        def compute():
+            if name == "CW_a":
+                legs = _cw_a_legs(model, self.target, bands[0], self.ladder)
+            elif name == "CW_b":
+                # the rungs of the order-n ladder inside the band
+                legs = [HedgeLeg(k, bands[0].maturity, w)
+                        for k, w in self.ladder(model, bands[0].maturity, n)
+                        if bands[0].contains(k)]
+            else:
+                legs = [leg for i in range(depth) for leg in self.level(model, bands, i, n)]
+            return tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
+
+        key = (name, model, bands[:depth], None if name == "CW_a" else n)
+        legs = self._get(self.methods, key, compute)
+        if name == "CW_b" and not legs:  # warns for every case, naming the builder's caller
+            warnings.warn(
+                f"all {n} hermite strikes fall outside [{bands[0].lo}, {bands[0].hi}]; "
+                "portfolio is pure cash",
+                stacklevel=_outside_stacklevel(),
+            )
+        return legs
 
 
 def _inception_pairs(target, method_legs):

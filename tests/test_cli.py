@@ -78,6 +78,29 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out4 / "report.json").read_bytes()
 
 
+# the calling thread prices too, so n threads start a pool of n - 1 workers
+@pytest.mark.parametrize("flags, pools", [([], [2]), (["--threads", "1"], []),
+                                          (["--threads", "2"], [1])])
+def test_thread_pool_defaults_to_the_usable_cpus(tmp_path, monkeypatch, flags, pools):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from statichedge import experiments
+
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    # the process may run on three CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert main(["sweep", "--config", str(CONFIG_DIR / "table5.cfg"),
+                 "--out", str(tmp_path)] + flags) == 0
+    assert started == pools
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, _small_sim_config())
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),

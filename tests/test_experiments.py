@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -319,19 +320,48 @@ def test_lambda_sweep_simulates_once_per_value(monkeypatch):
     assert [model.lam for model in sims] == [0.5, 1.0, 2.0]
 
 
-def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
-    # equal lambda values share one group; 3 paths split over up to 4 threads
-    data = _small_simulation(_base_config(), n_paths=3)
+def _record_threads(monkeypatch, name):
+    """Rebind ``name`` in every package module that holds it (as the bench
+    tracer does) to a wrapper recording the thread of each call."""
+    threads = []
+    original = getattr(models, name)
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("statichedge"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorded)
+    return threads
+
+
+def _pool_blocks(threads):
+    """The calls in ``threads`` made off the calling thread."""
+    return sum(ident != threading.get_ident() for ident in threads)
+
+
+def test_grouped_simulation_matches_per_value_runs_at_any_thread_count(monkeypatch):
+    # equal lambda values share one group; 300 paths and 40 GQ1 legs put the
+    # leg pricing at the first checkpoint in 8 blocks, so the pool takes
+    # some of them at 2 and 4 threads
+    blocks = _record_threads(monkeypatch, "_d1")
+    data = _small_simulation(_base_config(), n_paths=300)
     data["model"] = {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14,
                      "mu": 0.1, "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13}
-    data["methods"] = [{"name": "DH"}, {"name": "CW_b", "n": 5}, {"name": "GQ1", "n": 6}]
+    data["methods"] = [{"name": "DH"}, {"name": "CW_b", "n": 5}, {"name": "GQ1", "n": 40}]
     data["bands"] = [{"maturity": 21 / 252, "lo": 80.0, "hi": 120.0}]
     data["sweep"] = {"variable": "lambda", "values": [1.0, 2.0, 1.0]}
     cfg = parse_config(data)
-    blobs = {json.dumps(run_experiment(cfg, threads=t).to_dict(), sort_keys=True)
-             for t in (1, 2, 4)}
+    blobs = set()
+    for t in (1, 2, 4):
+        del blocks[:]
+        blobs.add(json.dumps(run_experiment(cfg, threads=t).to_dict(), sort_keys=True))
+        assert (_pool_blocks(blocks) >= 2) == (t > 1)
     assert len(blobs) == 1
-    # Two model groups plus DH: the path-block split leaves every matrix bitwise equal.
+    # Two model groups plus DH: pricing on the pool leaves every matrix bitwise equal.
     contexts = [experiments._value_context(cfg, value) for value in cfg.sweep.values]
     runs = [experiments.simulate_methods(cfg, contexts, threads=t) for t in (1, 2, 4)]
     assert len({model for model, _, _ in contexts}) == 2
@@ -347,6 +377,41 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count():
                         for c, j in zip(cfg.checkpoints, columns)]
                  for name, err in errors.items()}
         assert {name: info["stats"] for name, info in row["methods"].items()} == stats
+
+
+def test_hedge_runs_price_on_the_pool_and_trace_on_the_calling_thread(monkeypatch):
+    # Only untraced block bodies may leave the calling thread: the bench
+    # tracer keeps one span stack and parents each series span to the
+    # pricing call that asked for it.
+    calls = {name: _record_threads(monkeypatch, name)
+             for name in ("call_price", "delta", "strike_gamma_weight", "mjd_series_terms")}
+    blocks = _record_threads(monkeypatch, "_d1")
+    run_experiment(load_config(CONFIG_DIR / "table12.cfg"), threads=2)
+    assert all(calls.values())
+    assert {ident for threads in calls.values() for ident in threads} == {threading.get_ident()}
+    assert _pool_blocks(blocks) >= 2
+
+
+def test_criterion_9_thread_check_prices_on_the_pool(monkeypatch):
+    # the byte-identity check of criterion 9 (table10 at 1 and 4 threads)
+    # runs pricing blocks on the pool, so it compares pooled with serial work
+    blocks = _record_threads(monkeypatch, "_d1")
+    run_experiment(load_config(CONFIG_DIR / "table10.cfg"), threads=4)
+    assert _pool_blocks(blocks) >= 2
+
+
+def test_sweep_op_resolves_each_value_once(monkeypatch, tmp_path):
+    from statichedge.cli import main
+
+    resolved = _record_calls(monkeypatch, experiments, "_resolve")
+    data = _small_simulation(_base_config(), n_paths=4)
+    data["methods"] = [{"name": "DH"}, {"name": "GQ1", "n": 6}]
+    data["sweep"] = {"variable": "u1", "values": [0.1587, 0.12, 0.1587]}
+    path = tmp_path / "u1.cfg"
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--seed", "3"]) == 0
+    assert [args[1] for args in resolved] == [0.1587, 0.12, 0.1587]
 
 
 def test_sweep_values_build_on_the_calling_thread(monkeypatch):

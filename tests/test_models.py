@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,85 @@ def test_call_marks_are_bitwise_per_pair_prices(request, model_name, monkeypatch
                 assert type(marks[strike, maturity]) is float
     with pytest.raises(DomainError):
         call_marks(model, SPOT, MATURITY, pairs)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A one-worker pool that counts the tasks handed to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.tasks = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+@pytest.mark.parametrize("shape", ["scalar", "paths", "grid"])
+def test_pooled_kernels_are_bitwise_the_serial_ones(request, model_name, shape):
+    model = request.getfixturevalue(model_name)
+    t, maturity = 0.05, U1 + 0.05
+    n_terms = np.size(models._mixture(model, maturity - t)[0])
+    step = models.MAX_BLOCK // n_terms
+    rng = np.random.default_rng(7)
+    # more than two blocks, the last one short
+    size = 2 * step + step // 3
+    if shape == "scalar":
+        S, K = SPOT, rng.uniform(50.0, 150.0, size)
+    elif shape == "paths":
+        S, K = SPOT * np.exp(0.2 * rng.standard_normal(size)), STRIKE
+    else:
+        n_strikes = 40
+        S = SPOT * np.exp(0.2 * rng.standard_normal((1, -(-size // n_strikes))))
+        K = np.linspace(60.0, 140.0, n_strikes)[:, None]
+    assert np.broadcast(S, K).size > 2 * step
+    with _CountingPool() as pool:
+        for kernel in (call_price, delta):
+            serial = kernel(model, S, t, K, maturity)
+            pooled = kernel(model, S, t, K, maturity, pool)
+            assert pooled.shape == serial.shape == np.broadcast(S, K).shape
+            assert pooled.tobytes() == serial.tobytes()
+            # every element is the one a one-element call gives
+            S_all, K_all = np.broadcast_arrays(S, K)
+            picks = [0, step - 1, step, serial.size - 1]
+            for i in picks + rng.integers(0, serial.size, 20).tolist():
+                one = kernel(model, S_all.flat[i], t, K_all.flat[i], maturity)
+                assert serial.flat[i] == one
+    # the calling thread takes the first of the three blocks; the pool is
+    # offered the other two
+    assert pool.tasks == 2 * 2
+
+
+def _out_of_place(kernel, model, S, t, K, T):
+    """A kernel's formula written with one temporary per operation, on the
+    whole input at once: the reference its blocked, in-place evaluation
+    must match to the bit."""
+    Sa, Ka = np.asarray(S, dtype=float)[..., None], np.asarray(K, dtype=float)[..., None]
+    tau = T - t
+    probs, rates, vols, spot_disc, strike_disc, outer = models._mixture(model, tau)
+    st = vols * math.sqrt(tau)
+    d1 = (np.log(Sa / Ka) + (rates - model.delta_yield + 0.5 * vols ** 2) * tau) / st
+    if kernel is call_price:
+        terms = probs * (Sa * spot_disc * ndtr(d1) - Ka * strike_disc * ndtr(d1 - st))
+    elif kernel is delta:
+        terms = probs * spot_disc * ndtr(d1)
+    else:
+        npdf = np.exp(-0.5 * np.square(d1)) / math.sqrt(2.0 * math.pi)
+        terms = probs * spot_disc * npdf / (Sa * st)
+    return outer * terms.sum(axis=-1)
+
+
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+@pytest.mark.parametrize("kernel", [call_price, delta, strike_gamma_weight])
+def test_kernels_match_their_out_of_place_formulas(request, model_name, kernel):
+    model = request.getfixturevalue(model_name)
+    rng = np.random.default_rng(11)
+    for n_spots in (3, 2000):  # one block, and several for the priced kernels
+        S = SPOT * np.exp(0.3 * rng.standard_normal((1, n_spots)))
+        K = np.linspace(40.0, 180.0, 25)[:, None]
+        got = kernel(model, S, 0.05, K, U1)
+        assert got.tobytes() == _out_of_place(kernel, model, S, 0.05, K, U1).tobytes()
 
 
 def test_bs_reference_price(bs_model):
