@@ -2,8 +2,8 @@
 
 Subpackages:
 
-* ``quadrature``: Gauss-Legendre/Hermite/Laguerre rules and integration
-  combinators.
+* ``quadrature``: Gauss-Legendre/Hermite/Laguerre rules and the affine
+  map of a Legendre rule onto an interval.
 * ``models``: closed-form pricing, deltas and strike-gamma weights under
   geometric Brownian motion and Merton-style jump diffusion.
 * ``spanning``: static hedge construction (Hermite ladders and band-limited
@@ -20,7 +20,6 @@ __version__ = "1.0.0"
 from .errors import (
     ConfigError,
     DomainError,
-    IntegrationError,
     NumericalError,
     QuadratureError,
     SeriesError,
@@ -42,13 +41,7 @@ from .models import (
     put_price,
     strike_gamma_weight,
 )
-from .quadrature import (
-    QuadratureRule,
-    integrate_bounded,
-    integrate_shifted_laguerre,
-    make_rule,
-    map_to_interval,
-)
+from .quadrature import QuadratureRule, make_rule, map_to_interval
 from .simulation import (
     HedgeErrorStats,
     PathSet,

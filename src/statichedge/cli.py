@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError, NumericalError
 from .experiments import (
-    _value_context,
+    _build_contexts,
     emit,
     load_config,
     run_experiment,
@@ -99,7 +99,7 @@ def _cmd_price(cfg, args):
 
 
 def _cmd_build(cfg, args):
-    _, _, portfolios = _value_context(cfg, cfg.sweep.values[0])
+    ((_, _, portfolios),) = _build_contexts(cfg, cfg.resolved[:1])
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -127,7 +127,7 @@ def _require_simulation(cfg):
 
 def _first_value_errors(cfg):
     """Error matrices of the first sweep value at every grid time."""
-    return simulate_methods(cfg, [_value_context(cfg, cfg.sweep.values[0])])[0]
+    return simulate_methods(cfg, _build_contexts(cfg, cfg.resolved[:1]))[0]
 
 
 def _cmd_simulate(cfg, args):

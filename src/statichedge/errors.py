@@ -22,14 +22,6 @@ class QuadratureError(NumericalError, ValueError):
     """Unsupported quadrature kind, order, or interval."""
 
 
-class IntegrationError(NumericalError):
-    """Integrand returned a non-finite value; ``node`` identifies where."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
-
 class DomainError(NumericalError, ValueError):
     """Pricing input outside the valid domain (e.g. valuation after expiry)."""
 

@@ -32,12 +32,12 @@ Config schema::
 
 Numbers must be finite, and ``true``/``false`` and strings are not
 numbers.  ``methods``, ``sweep.values`` and ``checkpoints`` are non-empty
-lists.  ``bands`` may be empty or absent when only ``DH`` is configured;
-``GQ2`` needs two, and ``GQn`` takes at most ``spanning.MAX_BANDS``.  Each
-quadrature order (``n``, a ``quad_points`` value, the ``modified_weight``
-orders) stays within ``quadrature.ORDER_CAP`` of the rule it sizes.
-``CW_a`` picks its own ladder order (the largest that fits its band) and
-ignores ``n``, which is still checked against the Hermite cap.
+lists.  ``bands`` may be empty or absent when only ``DH`` is configured.
+``spanning.STATIC_METHODS`` gives the bands each static method needs
+(``GQ2`` two, ``GQn`` at most ``spanning.MAX_BANDS``) and the rule each
+quadrature order (``n``, a ``quad_points`` value) sizes; every order, the
+``modified_weight`` ones too, stays within its rule's ``ORDER_CAP``.
+``CW_a`` picks its own ladder order; its ``n`` is ignored but still capped.
 ``hold_variance`` recomputes the diffusion vol while sweeping a jump
 parameter so the total annualized return variance stays fixed.  Only call
 targets are supported.  ``parse_config`` builds the simulation
@@ -64,7 +64,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, UndefinedPdlError
 from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, OptionRef
-from .quadrature import HERMITE, LEGENDRE, ORDER_CAP
 from .simulation import (
     HedgeErrorStats,
     SimConfig,
@@ -77,11 +76,12 @@ from .simulation import (
 )
 from .spanning import (
     MATURITY_GAP,
-    MAX_BANDS,
+    STATIC_METHODS,
     ModifiedWeightConfig,
     StrikeBand,
     build_sweep,
     check_band_order,
+    check_method,
     pdl,
 )
 
@@ -97,17 +97,9 @@ __all__ = [
     "emit",
 ]
 
-# Each static method: the bands it needs and the quadrature rule its order
-# ``n`` sizes.  ``spanning.build_sweep`` builds them all.
-_STATIC_METHODS = {
-    "CW_a": (1, HERMITE),
-    "CW_b": (1, HERMITE),
-    "GQ1": (1, LEGENDRE),
-    "GQ2": (2, LEGENDRE),
-    "GQn": (1, LEGENDRE),
-}
-METHOD_NAMES = (*_STATIC_METHODS, "DH")
-_ORDERED_METHODS = ("CW_b", "GQ1", "GQ2", "GQn")
+METHOD_NAMES = (*STATIC_METHODS, "DH")
+# The static methods whose order ``n`` sizes their hedge; ``CW_a`` picks its own.
+_SIZED_METHODS = tuple(name for name in STATIC_METHODS if name != "CW_a")
 SWEEP_VARIABLES = ("quad_points", "band", "u1", "u2", "lambda", "mu_j", "sigma_j")
 _JUMP_FIELDS = {"lambda": "lam", "mu_j": "mu_j", "sigma_j": "sigma_j"}
 
@@ -159,15 +151,6 @@ def _coerce(value, path: str, kind):
     if isinstance(value, (bool, str)) or not math.isfinite(out) or (kind is int and out != value):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     return out
-
-
-def _check_order_cap(name: str, n: int, path: str):
-    """Reject an order ``n`` above the cap of the rule method ``name`` uses
-    (``quadrature.ORDER_CAP``), naming ``path``."""
-    rule = _STATIC_METHODS[name][1]
-    if n > ORDER_CAP[rule]:
-        raise ConfigError(f"{path}: {name} uses {rule} rules of order <= "
-                          f"{ORDER_CAP[rule]}, got {n!r}")
 
 
 def _get(section: dict, path: str, key: str, kind, required=True, default=None):
@@ -245,8 +228,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         n = _get(msec, f"methods[{i}]", "n", int, required=False)
         if n is not None and n < 1:
             raise ConfigError(f"methods[{i}].n: must be >= 1")
-        if n is not None and name in _STATIC_METHODS:
-            _check_order_cap(name, n, f"methods[{i}].n")
         methods.append(MethodSpec(name, n))
     if len({m.name for m in methods}) != len(methods):
         raise ConfigError("methods: duplicate method names")
@@ -310,14 +291,12 @@ def parse_config(data: dict) -> ExperimentConfig:
                                       f"1..{sim.n_steps} (times in (0, horizon])")
 
     for i, m in enumerate(methods):
-        need = _STATIC_METHODS[m.name][0] if m.name in _STATIC_METHODS else 0
-        if len(bands) < need:
-            raise ConfigError(f"methods[{i}]: {m.name} requires {need} band(s), "
-                              f"got {len(bands)}")
-        if m.name == "GQn" and len(bands) > MAX_BANDS:
-            raise ConfigError(f"bands: GQn (methods[{i}]) spans at most {MAX_BANDS} "
-                              f"maturities, got {len(bands)}")
-        if m.name in _ORDERED_METHODS and m.n is None and variable != "quad_points":
+        if m.name in STATIC_METHODS:
+            with _config_errors(f"methods[{i}]: "):
+                check_method(m.name, None, bands)
+            with _config_errors(f"methods[{i}].n: "):
+                check_method(m.name, m.n, bands)
+        if m.name in _SIZED_METHODS and m.n is None and variable != "quad_points":
             raise ConfigError(f"methods[{i}].n: required unless sweeping quad_points")
         if m.name == "DH" and sim is None:
             raise ConfigError(f"methods[{i}]: DH requires a simulation block")
@@ -380,11 +359,11 @@ def _resolve(cfg: ExperimentConfig, value):
         n = _coerce(value, "sweep.values", int)
         if n < 1:
             raise ConfigError(f"sweep.values: quad_points must be >= 1, got {value!r}")
-        for name in orders:
-            if name in _ORDERED_METHODS:
-                _check_order_cap(name, n, "sweep.values")
-        orders = {name: (n if name in _ORDERED_METHODS else existing)
-                  for name, existing in orders.items()}
+        with _config_errors("sweep.values: "):
+            for name in orders:
+                if name in _SIZED_METHODS:
+                    check_method(name, n, bands)
+                    orders[name] = n
     elif var == "band":
         if not isinstance(value, list) or len(value) != len(bands):
             raise ConfigError(
@@ -413,18 +392,11 @@ def _resolve(cfg: ExperimentConfig, value):
             model = replace(model, sigma=math.sqrt(resid))
     with _config_errors(""):
         check_band_order(bands, cfg.target)
-    if cfg.simulation is not None and any(m.name in _STATIC_METHODS for m in cfg.methods):
+    if cfg.simulation is not None and any(m.name in STATIC_METHODS for m in cfg.methods):
         # The longest leg of every static portfolio expires at bands[0].
         with _config_errors("simulation."):
             _check_horizon(cfg.simulation.times[-1], cfg.target, [bands[0].maturity])
     return model, bands, orders
-
-
-def _value_contexts(cfg: ExperimentConfig, values) -> list:
-    """Resolve each sweep value to ``(model, per-method orders,
-    portfolios)``: every value is resolved first, then ``_build_contexts``
-    builds them."""
-    return _build_contexts(cfg, [_resolve(cfg, value) for value in values])
 
 
 def _build_contexts(cfg: ExperimentConfig, resolved) -> list:
@@ -433,16 +405,11 @@ def _build_contexts(cfg: ExperimentConfig, resolved) -> list:
     portfolios (all methods but DH) of all of them, sharing the work the
     values have in common."""
     cases = [(model, bands, {m.name: orders[m.name] for m in cfg.methods
-                             if m.name in _STATIC_METHODS})
+                             if m.name in STATIC_METHODS})
              for model, bands, orders in resolved]
     built = build_sweep(cfg.target, cfg.spot, cases, cfg.modified_weight)
     return [(model, orders, portfolios)
             for (model, _, orders), portfolios in zip(resolved, built)]
-
-
-def _value_context(cfg: ExperimentConfig, value):
-    """The ``_value_contexts`` entry of one sweep value."""
-    return _value_contexts(cfg, [value])[0]
 
 
 def _usable_cpus() -> int:
@@ -457,7 +424,7 @@ def _usable_cpus() -> int:
 def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads=None) -> list:
     """Hedge errors of every method for each resolved sweep value.
 
-    ``contexts`` holds ``_value_contexts`` results.  Returns one ``{method
+    ``contexts`` holds ``_build_contexts`` results.  Returns one ``{method
     name: (n_paths, len(columns)) error matrix}`` per context, at the grid
     ``columns`` (default: every grid time of ``cfg.simulation``).
 

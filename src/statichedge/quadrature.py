@@ -1,4 +1,4 @@
-"""Gaussian quadrature rules and integration combinators.
+"""Gaussian quadrature rules.
 
 Three classical families are exposed through a single ``make_rule`` entry
 point, each exact for polynomials of degree <= 2n-1 against its weight:
@@ -7,14 +7,11 @@ point, each exact for polynomials of degree <= 2n-1 against its weight:
 * Hermite:   integral_{-inf}^{inf} e^{-x^2} f(x) dx ~ sum w_i f(x_i)
 * Laguerre:  integral_{0}^{inf} e^{-x} f(x) dx      ~ sum w_i f(x_i)
 
-On top of the raw rules sit two public convenience combinators:
-``integrate_bounded`` (affine map of a Legendre rule onto ``[a, b]``) and
-``integrate_shifted_laguerre`` (a Laguerre rule translated to start at a
-finite lower limit, with the exponential weight divided back out so the
-plain integral of ``f`` is approximated).  The hedge builders do not call
-them: ``spanning._excluded_region_rule`` assembles the same mapped-Legendre
-and shifted-Laguerre nodes and weights, so one vectorized kernel
-evaluation covers both pieces of the excluded region.
+``map_to_interval`` maps a Legendre rule affinely onto ``[a, b]``.  The
+hedge builders integrate with the nodes and weights directly:
+``spanning._excluded_region_rule`` joins a mapped Legendre rule and a
+shifted Laguerre rule, so one vectorized kernel evaluation covers both
+pieces of the excluded region.
 
 Rules are cached per ``(kind, order)`` because experiment sweeps reuse
 them thousands of times.  Cached rules are immutable (read-only arrays)
@@ -30,14 +27,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_hermite, roots_laguerre, roots_legendre
 
-from .errors import IntegrationError, QuadratureError
+from .errors import QuadratureError
 
 __all__ = [
     "QuadratureRule",
     "make_rule",
     "map_to_interval",
-    "integrate_bounded",
-    "integrate_shifted_laguerre",
 ]
 
 LEGENDRE = "legendre"
@@ -133,44 +128,3 @@ def map_to_interval(rule: QuadratureRule, a: float, b: float) -> QuadratureRule:
     mid = 0.5 * (a + b)
     return QuadratureRule(LEGENDRE, rule.order, half * rule.nodes + mid, half * rule.weights)
 
-
-def _evaluate(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` at every node, accepting scalar-only callables."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        y = np.array([float(f(t)) for t in x])
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise IntegrationError(
-            f"integrand returned a non-finite value at node {bad!r}", node=float(bad)
-        )
-    return y
-
-
-def integrate_bounded(f, a: float, b: float, n: int) -> float:
-    """Approximate ``integral_a^b f(x) dx`` with an n-point mapped Legendre rule."""
-    rule = map_to_interval(make_rule(LEGENDRE, n), a, b)
-    return float(rule.weights @ _evaluate(f, rule.nodes))
-
-
-def integrate_shifted_laguerre(f, a: float, n: int) -> float:
-    """Approximate ``integral_a^inf f(x) dx`` with an n-point shifted Laguerre rule.
-
-    The rule natively integrates ``e^{-x} g(x)`` on ``[0, inf)``; shifting by
-    ``a`` and setting ``g(x) = e^{x} f(x + a)`` yields
-
-        integral_a^inf f(x) dx ~ sum_i w_i e^{x_i} f(x_i + a),
-
-    which is exact whenever ``f`` decays like ``e^{-x}`` times a low-degree
-    polynomial and remains accurate for the faster log-normal-type tails
-    integrated here.
-    """
-    a = float(a)
-    if not math.isfinite(a):
-        raise QuadratureError("shift must be finite")
-    rule = make_rule(LAGUERRE, n)
-    scaled = rule.weights * np.exp(rule.nodes)
-    return float(scaled @ _evaluate(f, rule.nodes + a))

@@ -82,6 +82,17 @@ MATURITY_GAP = 1e-4
 # re-spanning cost grows with each level.
 MAX_BANDS = 4
 
+# Each static method: the leading bands it hedges with (None: all of them,
+# 1 to MAX_BANDS) and the quadrature rule its order ``n`` sizes.  ``CW_a``
+# picks its own order and ignores ``n``, which is still held to the cap.
+STATIC_METHODS = {
+    "CW_a": (1, HERMITE),
+    "CW_b": (1, HERMITE),
+    "GQ1": (1, LEGENDRE),
+    "GQ2": (2, LEGENDRE),
+    "GQn": (None, LEGENDRE),
+}
+
 
 @dataclass(frozen=True)
 class StrikeBand:
@@ -173,6 +184,25 @@ def check_band_order(bands, target: OptionRef):
             )
 
 
+def check_method(name: str, n, bands) -> int:
+    """The number of leading ``bands`` static method ``name`` hedges with.
+
+    Requires enough bands (at least one for ``GQn``), at most ``MAX_BANDS``
+    for ``GQn``, and an order ``n`` (None: unchecked) within the
+    ``ORDER_CAP`` of the rule it sizes; raises ``SpanningError``."""
+    if name not in STATIC_METHODS:
+        raise SpanningError(f"unknown static method {name!r}")
+    depth, rule = STATIC_METHODS[name]
+    depth = depth or max(len(bands), 1)
+    if len(bands) < depth:
+        raise SpanningError(f"{name} requires {depth} band(s), got {len(bands)}")
+    if depth > MAX_BANDS:
+        raise SpanningError(f"{name} spans at most {MAX_BANDS} maturities, got {depth}")
+    if n is not None and n > ORDER_CAP[rule]:
+        raise SpanningError(f"{name} uses {rule} rules of order <= {ORDER_CAP[rule]}, got {n!r}")
+    return depth
+
+
 def _hermite_strikes(model: ModelSpec, K: float, T: float, u: float, n: int):
     """The order-``n`` Hermite rule, its strikes mapped to maturity ``u``
     and the spread ``s`` of the map (see ``hermite_strike_map``)."""
@@ -248,11 +278,6 @@ def _excluded_mass(model, target, band, cfg, carry):
     quadrature-weighted spanning weights, and the band maturity."""
     nodes, wts = _excluded_region_rule(band, cfg)
     return nodes, wts * _level_weight(model, target, nodes, band.maturity, carry), band.maturity
-
-
-# The bands each static method hedges with: the leading one or two, or all
-# of them (None).
-_METHOD_DEPTH = {"CW_a": 1, "CW_b": 1, "GQ1": 1, "GQ2": 2, "GQn": None}
 
 
 def _outside_stacklevel():
@@ -340,15 +365,7 @@ class _Shared:
     def method_legs(self, model, bands, name, n):
         """Legs of static method ``name`` on the tuple ``bands``, sorted by
         (maturity, strike)."""
-        if name not in _METHOD_DEPTH:
-            raise SpanningError(f"unknown static method {name!r}")
-        depth = _METHOD_DEPTH[name] or len(bands)
-        if not bands:
-            raise SpanningError("at least one strike band is required")
-        if len(bands) < depth:
-            raise SpanningError(f"{name} needs {depth} strike bands, got {len(bands)}")
-        if depth > MAX_BANDS:
-            raise SpanningError(f"at most {MAX_BANDS} short maturities supported, got {depth}")
+        depth = check_method(name, n, bands)
         check_band_order(bands[:depth], self.target)
 
         def compute():

@@ -364,12 +364,28 @@ def test_first_failing_sweep_value_raises(tmp_path, capsys, model, methods, band
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
+def test_build_resolves_each_sweep_value_once(tmp_path, monkeypatch):
+    from statichedge import experiments
+
+    resolved = []
+    resolve = experiments._resolve
+
+    def counted(cfg, value):
+        resolved.append(value)
+        return resolve(cfg, value)
+
+    monkeypatch.setattr(experiments, "_resolve", counted)
+    config = CONFIG_DIR / "table1.cfg"
+    assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert resolved == json.loads(config.read_text())["sweep"]["values"]
+
+
 def _five_bands(data):
     data["bands"] = [{"maturity": 0.1 * i, "lo": 80.0, "hi": 120.0} for i in range(5, 0, -1)]
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (_five_bands, "bands: GQn (methods[0]) spans at most 4 maturities, got 5"),
+    (_five_bands, "methods[0]: GQn spans at most 4 maturities, got 5"),
     (lambda d: d["methods"][0].update(n=500),
      "methods[0].n: GQn uses legendre rules of order <= 200, got 500"),
     (lambda d: d.update(methods=[{"name": "GQn"}],

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 from pathlib import Path
@@ -362,7 +363,7 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count(monkeypat
         assert (_pool_blocks(blocks) >= 2) == (t > 1)
     assert len(blobs) == 1
     # Two model groups plus DH: pricing on the pool leaves every matrix bitwise equal.
-    contexts = [experiments._value_context(cfg, value) for value in cfg.sweep.values]
+    contexts = experiments._build_contexts(cfg, cfg.resolved)
     runs = [experiments.simulate_methods(cfg, contexts, threads=t) for t in (1, 2, 4)]
     assert len({model for model, _, _ in contexts}) == 2
     for run in runs[1:]:
@@ -371,8 +372,8 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count(monkeypat
             assert all(errors[name].tobytes() == expected[name].tobytes() for name in errors)
     report = json.loads(blobs.pop())
     columns = [round(c / cfg.simulation.step) for c in cfg.checkpoints]
-    for value, row in zip(cfg.sweep.values, report["rows"]):
-        (errors,) = experiments.simulate_methods(cfg, [experiments._value_context(cfg, value)])
+    for resolved, row in zip(cfg.resolved, report["rows"]):
+        (errors,) = experiments.simulate_methods(cfg, experiments._build_contexts(cfg, [resolved]))
         stats = {name: [{"time": c, **summarize(err[:, j]).to_dict()}
                         for c, j in zip(cfg.checkpoints, columns)]
                  for name, err in errors.items()}
@@ -464,6 +465,39 @@ def test_metadata_echoes_defaults():
     assert md["config"]["model"]["sigma"] == 0.27
 
 
+_FIVE_BANDS = [{"maturity": 0.5 - 0.1 * i, "lo": 60.0, "hi": 140.0} for i in range(5)]
+
+
+@pytest.mark.parametrize("name", list(spanning.STATIC_METHODS))
+@pytest.mark.parametrize("n_bands", range(6))
+@pytest.mark.parametrize("order", ["1", "cap", "cap + 1"])
+def test_config_and_builder_reject_the_same_methods(name, n_bands, order):
+    from statichedge.quadrature import ORDER_CAP
+
+    cap = ORDER_CAP[spanning.STATIC_METHODS[name][1]]
+    n = {"1": 1, "cap": cap, "cap + 1": cap + 1}[order]
+    data = _base_config(methods=[{"name": name, "n": n}], bands=_FIVE_BANDS[:n_bands],
+                        sweep={"variable": "quad_points", "values": [n]})
+    config_error = build_error = None
+    try:
+        cfg = parse_config(data)
+    except ConfigError as exc:
+        prefix = re.match(r"methods\[0\](\.n)?: ", str(exc))
+        assert prefix, str(exc)
+        config_error = str(exc)[prefix.end():]
+    model = models.BsParams(**{k: v for k, v in data["model"].items() if k != "type"})
+    target = models.OptionRef(strike=100.0, maturity=1.0)
+    bands = [spanning.StrikeBand(**band) for band in data["bands"]]
+    try:
+        built = spanning.build_portfolios(model, target, 100.0, bands, {name: n})
+    except spanning.SpanningError as exc:
+        build_error = str(exc)
+    assert config_error == build_error
+    if build_error is None:  # the config builds the same portfolio
+        ((_, _, portfolios),) = experiments._build_contexts(cfg, cfg.resolved)
+        assert repr(portfolios) == repr(built)
+
+
 def test_method_table_builds_what_the_builders_build():
     from statichedge.spanning import (build_cw_a, build_cw_b, build_gq1, build_gq2,
                                       build_gq_n)
@@ -473,7 +507,7 @@ def test_method_table_builds_what_the_builders_build():
     data["bands"].append({"maturity": 0.0833, "lo": 60.0, "hi": 130.0})
     data["modified_weight"] = {"n_inner_gq": 4, "n_laguerre": 12}
     cfg = parse_config(data)
-    _, _, portfolios = experiments._value_context(cfg, 7)
+    ((_, _, portfolios),) = experiments._build_contexts(cfg, [experiments._resolve(cfg, 7)])
     b1, b2 = cfg.bands
     args = (cfg.model, cfg.target, cfg.spot)
     direct = {
@@ -515,7 +549,7 @@ def test_one_pass_build_is_bitwise_the_public_builders(model, n_bands, gq_orders
     if mw is not None:
         data["modified_weight"] = mw
     cfg = parse_config(data)
-    _, _, portfolios = experiments._value_context(cfg, 0.3)
+    ((_, _, portfolios),) = experiments._build_contexts(cfg, cfg.resolved)
     bands = list(cfg.bands)
     args = (cfg.model, cfg.target, cfg.spot)
     n1, n2, n_n = gq_orders
@@ -548,7 +582,7 @@ def test_one_pass_build_prices_each_maturity_once_and_keeps_nothing(monkeypatch)
     gammas = _record_calls(monkeypatch, spanning, "strike_gamma_weight")
     cfg = load_config(CONFIG_DIR / "table7.cfg")
     assert [m.name for m in cfg.methods] == ["CW_a", "CW_b", "GQ1", "GQ2"]
-    _, _, portfolios = experiments._value_context(cfg, cfg.sweep.values[0])
+    ((_, _, portfolios),) = experiments._build_contexts(cfg, cfg.resolved[:1])
     maturities = {leg.maturity for p in portfolios.values() for leg in p.legs}
     # inception: one call_price call per distinct maturity, the target's included
     assert len(prices) == len(maturities | {cfg.target.maturity}) == 3
@@ -644,11 +678,11 @@ def _unshared_portfolio(model, target, S, bands, name, n, cfg):
 @pytest.mark.filterwarnings("ignore:all .* hermite strikes fall outside")
 def test_sweep_build_is_bitwise_the_per_value_builds():
     for name, cfg in _sweep_configs():
-        contexts = experiments._value_contexts(cfg, cfg.sweep.values)
+        contexts = experiments._build_contexts(cfg, cfg.resolved)
         for value, (model, orders, portfolios) in zip(cfg.sweep.values, contexts):
             _, bands, _ = experiments._resolve(cfg, value)
             static = {m.name: orders[m.name] for m in cfg.methods
-                      if m.name in experiments._STATIC_METHODS}
+                      if m.name in spanning.STATIC_METHODS}
             args = (model, cfg.target, cfg.spot)
             alone = spanning.build_portfolios(*args, bands, static, cfg.modified_weight)
             single = {method: _ONE_METHOD[method](args, bands, n, cfg.modified_weight)

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statichedge import (
-    IntegrationError,
-    QuadratureError,
-    integrate_bounded,
-    integrate_shifted_laguerre,
-    make_rule,
-    map_to_interval,
-)
+from statichedge import QuadratureError, make_rule, map_to_interval
 from statichedge.quadrature import ORDER_CAP
 
 
@@ -108,39 +101,16 @@ def test_map_rejects_bad_input():
         map_to_interval(make_rule("hermite", 3), 0.0, 1.0)
 
 
+def _integrate(f, a, b, n):
+    """``integral_a^b f`` with the order-``n`` Legendre rule mapped onto [a, b]."""
+    rule = map_to_interval(make_rule("legendre", n), a, b)
+    return float(rule.weights @ f(rule.nodes))
+
+
 def test_cubic_on_long_interval_exact():
-    approx = integrate_bounded(lambda x: x ** 3, 0.0, 130.0, 2)
+    approx = _integrate(lambda x: x ** 3, 0.0, 130.0, 2)
     exact = 130.0 ** 4 / 4.0
     assert abs(approx - exact) / exact < 1e-6
-
-
-def test_integrate_bounded_basics():
-    assert integrate_bounded(lambda x: np.ones_like(x), 0.0, 5.0, 4) == pytest.approx(5.0, abs=1e-13)
-    assert integrate_bounded(lambda x: x ** 3, -1.0, 1.0, 2) == pytest.approx(0.0, abs=1e-14)
-    assert integrate_bounded(np.exp, 0.0, 1.0, 10) == pytest.approx(math.e - 1.0, abs=1e-12)
-
-
-def test_integrate_bounded_scalar_only_callable():
-    assert integrate_bounded(lambda x: float(x) ** 2, 0.0, 1.0, 6) == pytest.approx(1 / 3, abs=1e-13)
-
-
-def test_non_finite_integrand_identifies_node():
-    with np.errstate(all="ignore"), pytest.raises(IntegrationError) as err:
-        integrate_bounded(lambda x: 1.0 / (x - x), 0.0, 1.0, 5)
-    assert err.value.node is not None
-    assert 0.0 < err.value.node < 1.0
-
-
-def test_shifted_laguerre_examples():
-    assert integrate_shifted_laguerre(lambda x: np.exp(-x), 0.0, 20) == pytest.approx(1.0, abs=1e-12)
-    assert integrate_shifted_laguerre(lambda x: np.exp(-x), 3.0, 20) == pytest.approx(math.exp(-3), abs=1e-12)
-    got = integrate_shifted_laguerre(lambda x: x * np.exp(-x ** 2), 2.0, 20)
-    assert got == pytest.approx(0.5 * math.exp(-4.0), abs=1e-6)
-
-
-def test_shifted_laguerre_non_finite():
-    with np.errstate(all="ignore"), pytest.raises(IntegrationError):
-        integrate_shifted_laguerre(lambda x: np.log(2.0 - x), 0.0, 20)
 
 
 @pytest.mark.parametrize("n", range(1, 31))
@@ -177,6 +147,6 @@ def test_interval_map_consistency(coeffs, a, width, n):
     def pullback(x):
         return poly(0.5 * (b - a) * x + 0.5 * (a + b)) * 0.5 * (b - a)
 
-    direct = integrate_bounded(poly, a, b, n)
-    mapped = integrate_bounded(pullback, -1.0, 1.0, n)
+    direct = _integrate(poly, a, b, n)
+    mapped = _integrate(pullback, -1.0, 1.0, n)
     assert direct == pytest.approx(mapped, abs=1e-12 * max(1.0, abs(direct)))

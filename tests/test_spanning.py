@@ -216,6 +216,27 @@ def test_gq1_quadrature_count_stability(bs_model, target):
 # ---------------------------------------------------------------------------
 
 
+def test_excluded_region_rule_integrates_the_tail_and_the_left_piece():
+    from statichedge.spanning import _excluded_region_rule
+
+    # lo = 0: only the shifted Laguerre tail on [hi, inf)
+    cfg = ModifiedWeightConfig(n_laguerre=20)
+    for a in (0.5, 3.0):
+        nodes, weights = _excluded_region_rule(StrikeBand(0.1, 0.0, a), cfg)
+        assert weights @ np.exp(-nodes) == pytest.approx(math.exp(-a), abs=1e-12)
+    nodes, weights = _excluded_region_rule(StrikeBand(0.1, 0.0, 2.0), cfg)
+    assert weights @ (nodes * np.exp(-nodes ** 2)) == pytest.approx(0.5 * math.exp(-4.0),
+                                                                     abs=1e-6)
+    # lo > 0: the left piece is an order-n_inner_gq Legendre rule on [0, lo]
+    lo = 80.0
+    nodes, weights = _excluded_region_rule(StrikeBand(0.1, lo, 120.0), ModifiedWeightConfig())
+    left = nodes < lo
+    assert left.sum() == ModifiedWeightConfig().n_inner_gq and np.all(nodes[~left] > 120.0)
+    cubic = np.polynomial.Polynomial([-5.0, 3.0, -1.0, 2.0])
+    exact = cubic.integ()(lo) - cubic.integ()(0.0)
+    assert weights[left] @ cubic(nodes[left]) == pytest.approx(exact, rel=1e-12)
+
+
 def test_modified_weight_vanishes_when_nothing_excluded(bs_model, target):
     band = StrikeBand(U1, 0.0, 1e6)
     for k2 in (50.0, 100.0, 150.0):
