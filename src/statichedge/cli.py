@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from functools import lru_cache
@@ -20,6 +19,8 @@ from pathlib import Path
 from .errors import ConfigError, NumericalError
 from .experiments import (
     _build_contexts,
+    _write_csv,
+    _write_json,
     emit,
     load_config,
     run_experiment,
@@ -92,9 +93,7 @@ def _cmd_price(cfg, args):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "price.json").write_text(
-            json.dumps({"target_price": value}, sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(out / "price.json", {"target_price": value})
     return EXIT_OK
 
 
@@ -150,19 +149,10 @@ def _cmd_pfe(cfg, args):
     errors = _first_value_errors(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "pfe.csv"
-    names = list(errors)
-    with open(path, "w", newline="") as fh:
-        header = ["time"] + [f"{name}_p{level}" for name in names for level in (95, 5)]
-        fh.write(",".join(header) + "\n")
-        curves = {name: pfe_curves(errors[name]) for name in names}
-        for i, t in enumerate(cfg.simulation.times):
-            cells = [repr(float(t))]
-            for name in names:
-                cells.append(repr(float(curves[name][95][i])))
-                cells.append(repr(float(curves[name][5][i])))
-            fh.write(",".join(cells) + "\n")
-    print(path)
+    curves = {name: pfe_curves(matrix) for name, matrix in errors.items()}
+    header = ["time"] + [f"{name}_p{level}" for name in curves for level in (95, 5)]
+    columns = [cfg.simulation.times] + [c[level] for c in curves.values() for level in (95, 5)]
+    print(_write_csv(out / "pfe.csv", [header, *zip(*(c.tolist() for c in columns))], "\n"))
     return EXIT_OK
 
 

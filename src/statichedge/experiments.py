@@ -36,7 +36,7 @@ lists.  ``bands`` may be empty or absent when only ``DH`` is configured.
 ``spanning.STATIC_METHODS`` gives the bands each static method needs
 (``GQ2`` two, ``GQn`` at most ``spanning.MAX_BANDS``) and the rule each
 quadrature order (``n``, a ``quad_points`` value) sizes; every order, the
-``modified_weight`` ones too, stays within its rule's ``ORDER_CAP``.
+``modified_weight`` ones too, lies in ``[1, ORDER_CAP]`` of its rule.
 ``CW_a`` picks its own ladder order; its ``n`` is ignored but still capped.
 ``hold_variance`` recomputes the diffusion vol while sweeping a jump
 parameter so the total annualized return variance stays fixed.  Only call
@@ -226,7 +226,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if name not in METHOD_NAMES:
             raise ConfigError(f"methods[{i}].name: unknown method {name!r}")
         n = _get(msec, f"methods[{i}]", "n", int, required=False)
-        if n is not None and n < 1:
+        if name == "DH" and n is not None and n < 1:  # check_method bounds the others
             raise ConfigError(f"methods[{i}].n: must be >= 1")
         methods.append(MethodSpec(name, n))
     if len({m.name for m in methods}) != len(methods):
@@ -516,8 +516,19 @@ def run_experiment(cfg: ExperimentConfig, threads=None) -> Report:
     return Report(cfg.sweep.variable, rows, metadata)
 
 
-def _scalar_x(row, index):
-    return row.sweep_value if np.isscalar(row.sweep_value) else index
+def _write_csv(path, rows, lineterminator="\r\n"):
+    """Write ``rows`` to ``path`` with the ``csv`` module, which writes None
+    as an empty cell, a float by ``repr`` and an int by ``str``; returns
+    ``path``.  The one CSV writer of the package but ``write_errors_csv``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator=lineterminator).writerows(rows)
+    return path
+
+
+def _write_json(path, data):
+    """Write ``data`` to ``path`` as sorted, indented JSON; returns ``path``."""
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    return path
 
 
 def emit(report: Report, format: str, out_dir) -> list:
@@ -526,7 +537,8 @@ def emit(report: Report, format: str, out_dir) -> list:
     ``csv``: one row per sweep value (wide; plus ``stats.csv`` long-form
     when simulation statistics are present).  ``json``: the full nested
     report.  ``plot``: per-method (x, edl, log10|edl|) series for figure
-    reproduction.
+    reproduction.  ``_write_json`` and ``_write_csv`` (``\r\n`` line
+    endings) write the files; a missing value is an empty cell.
     """
     if not report.rows:
         raise ConfigError("cannot emit an empty report")
@@ -537,9 +549,7 @@ def emit(report: Report, format: str, out_dir) -> list:
     names = ([m["name"] for m in config_methods] if config_methods
              else list(report.rows[0].methods))
     if format == "json":
-        path = out / "report.json"
-        path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-        return [path]
+        return [_write_json(out / "report.json", report.to_dict())]
     # Each CSV file as {file name: rows}, header row first.
     tables = {}
     if format == "csv":
@@ -553,11 +563,12 @@ def emit(report: Report, format: str, out_dir) -> list:
             cells = [json.dumps(row.sweep_value)]
             for name in names:
                 info = row.methods.get(name, {})
-                cells += [_fmt(info.get("edl")), _fmt(info.get("legs"))]
+                cells += [info.get("edl"), info.get("legs")]
                 for stat in info.get("stats", []):
-                    stats.append([json.dumps(row.sweep_value), name, _fmt(stat["time"])]
-                                 + [_fmt(stat[f]) for f in stat_fields])
-            tables["report.csv"].append(cells + [_fmt(row.pdl)])
+                    stats.append([json.dumps(row.sweep_value), name, stat["time"]]
+                                 + [str(stat[f]).lower() if f == "degenerate" else stat[f]
+                                    for f in stat_fields])
+            tables["report.csv"].append(cells + [row.pdl])
         if len(stats) > 1:
             tables["stats.csv"] = stats
     elif format == "plot":
@@ -566,28 +577,11 @@ def emit(report: Report, format: str, out_dir) -> list:
             header += [f"{name}_edl", f"{name}_log10_abs_edl"]
         tables["series.csv"] = [header]
         for index, row in enumerate(report.rows):
-            cells = [_fmt(_scalar_x(row, index))]
+            cells = [row.sweep_value if np.isscalar(row.sweep_value) else index]
             for name in names:
                 e = row.methods.get(name, {}).get("edl")
-                cells.append(_fmt(e))
-                cells.append(_fmt(math.log10(abs(e)) if e not in (None, 0.0) else None))
+                cells += [e, math.log10(abs(e)) if e not in (None, 0.0) else None]
             tables["series.csv"].append(cells)
     else:
         raise ConfigError(f"unknown emit format {format!r}")
-    written = []
-    for file_name, rows in tables.items():
-        path = out / file_name
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        written.append(path)
-    return written
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return [_write_csv(out / file_name, rows) for file_name, rows in tables.items()]

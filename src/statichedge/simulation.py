@@ -55,7 +55,7 @@ from scipy.special import ndtri
 
 from .errors import SimulationError
 from .models import MAX_BLOCK, MjdParams, ModelSpec, OptionRef, call_marks, call_price, delta
-from .spanning import HedgePortfolio
+from .spanning import HedgePortfolio, _legs_value
 
 __all__ = [
     "SimConfig",
@@ -351,7 +351,8 @@ def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None
     ``e^{-r t} (hedge - target price)``.  Live legs and targets are marked
     once per returned grid time for all portfolios together, one
     ``call_price`` call per maturity, which shares its blocks with
-    ``executor`` when one is given.
+    ``executor`` when one is given; ``spanning._legs_value`` then adds each
+    portfolio's live legs to its cash and matured payoffs, in leg order.
     """
     times = paths.times
     expiries = [_leg_expiries(times, p) for p in portfolios]
@@ -379,9 +380,7 @@ def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None
             *((leg.strike, leg.maturity) for legs in live for leg in legs),
         ], executor)
         for k, portfolio in enumerate(portfolios):
-            hedge = portfolio.b0 * math.exp(r * t) + matured[k]
-            for leg in live[k]:
-                hedge = hedge + leg.weight * marks[leg.strike, leg.maturity]
+            hedge = _legs_value(live[k], marks, portfolio.b0 * math.exp(r * t) + matured[k])
             target = marks[portfolio.target.strike, portfolio.target.maturity]
             out[k][:, slots[i]] = (math.exp(-r * t) * (hedge - target))[:, None]
     return out

@@ -188,8 +188,8 @@ def check_method(name: str, n, bands) -> int:
     """The number of leading ``bands`` static method ``name`` hedges with.
 
     Requires enough bands (at least one for ``GQn``), at most ``MAX_BANDS``
-    for ``GQn``, and an order ``n`` (None: unchecked) within the
-    ``ORDER_CAP`` of the rule it sizes; raises ``SpanningError``."""
+    for ``GQn``, and an order ``n`` (None: unchecked) in ``[1, ORDER_CAP]``
+    of the rule it sizes; raises ``SpanningError``."""
     if name not in STATIC_METHODS:
         raise SpanningError(f"unknown static method {name!r}")
     depth, rule = STATIC_METHODS[name]
@@ -198,8 +198,9 @@ def check_method(name: str, n, bands) -> int:
         raise SpanningError(f"{name} requires {depth} band(s), got {len(bands)}")
     if depth > MAX_BANDS:
         raise SpanningError(f"{name} spans at most {MAX_BANDS} maturities, got {depth}")
-    if n is not None and n > ORDER_CAP[rule]:
-        raise SpanningError(f"{name} uses {rule} rules of order <= {ORDER_CAP[rule]}, got {n!r}")
+    if n is not None and not 1 <= n <= ORDER_CAP[rule]:
+        bound = ">= 1" if n < 1 else f"<= {ORDER_CAP[rule]}"
+        raise SpanningError(f"{name} uses {rule} rules of order {bound}, got {n!r}")
     return depth
 
 
@@ -571,9 +572,10 @@ def portfolio_value(portfolio: HedgePortfolio, model: ModelSpec, S, t: float):
     return _legs_value(portfolio.legs, marks)
 
 
-def _legs_value(legs, marks):
-    """The weighted ``marks[strike, maturity]`` of ``legs``, summed in leg order."""
-    total = 0.0
+def _legs_value(legs, marks, total=0.0):
+    """``total`` plus the weighted ``marks[strike, maturity]`` of ``legs``,
+    added in leg order: the one leg sum of inception pricing,
+    ``portfolio_value`` and ``simulation.static_hedge_runs``."""
     for leg in legs:
         total = total + leg.weight * marks[leg.strike, leg.maturity]
     return total

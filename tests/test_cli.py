@@ -45,6 +45,17 @@ def test_price_subcommand(capsys):
     assert out.startswith("target_price=13.59262773")
 
 
+def test_price_out_writes_price_json(tmp_path, capsys):
+    code = main(["price", "--config", str(CONFIG_DIR / "table1.cfg"),
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0
+    value = float(out.strip().removeprefix("target_price="))
+    assert out == f"target_price={value!r}\n"
+    assert (tmp_path / "out" / "price.json").read_text() == json.dumps(
+        {"target_price": value}, sort_keys=True, indent=2) + "\n"
+
+
 def test_build_subcommand_writes_portfolios(tmp_path, capsys):
     code = main(["build", "--config", str(CONFIG_DIR / "table2.cfg"),
                  "--out", str(tmp_path)])
@@ -134,7 +145,9 @@ def test_pfe_subcommand(tmp_path):
     cfg = _write_config(tmp_path, _small_sim_config())
     code = main(["pfe", "--config", str(cfg), "--out", str(tmp_path / "pfe")])
     assert code == 0
-    lines = (tmp_path / "pfe" / "pfe.csv").read_text().strip().splitlines()
+    raw = (tmp_path / "pfe" / "pfe.csv").read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")  # "\n" line endings, unlike emit's
+    lines = raw.decode().strip().splitlines()
     assert lines[0] == "time,DH_p95,DH_p5,GQ1_p95,GQ1_p5"
     assert len(lines) == 23
     first = [float(v) for v in lines[1].split(",")]
@@ -270,6 +283,14 @@ def test_thread_count_below_one_is_rejected(tmp_path, capsys, threads):
     assert "--threads: must be >= 1" in capsys.readouterr().err
 
 
+def test_non_integer_thread_count_is_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _small_sim_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--threads", "x"])
+    assert exc.value.code == 2
+    assert "--threads: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_exit_code_for_numerical_failure(tmp_path, capsys):
     data = {
         "model": {"type": "bs", "r": 0.06, "delta_yield": 0.0, "sigma": 0.27, "mu": 0.1},
@@ -395,6 +416,11 @@ def _five_bands(data):
      "modified_weight: n_inner_gq: legendre order must lie in [1, 200], got 500"),
     (lambda d: d.update(modified_weight={"n_laguerre": 190}),
      "modified_weight: n_laguerre: laguerre order must lie in [1, 180], got 190"),
+    (lambda d: d["methods"][0].update(n=0),
+     "methods[0].n: GQn uses legendre rules of order >= 1, got 0"),
+    (lambda d: d.update(methods=[{"name": "GQn"}],
+                        sweep={"variable": "quad_points", "values": [4, 0]}),
+     "sweep.values: quad_points must be >= 1, got 0"),
 ])
 def test_quadrature_limit_in_a_config_is_config_error(tmp_path, capsys, mutate, message):
     data = {

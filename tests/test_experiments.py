@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from statichedge import ConfigError, experiments, models, spanning
+from statichedge.cli import main
 from statichedge.models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF
 from statichedge.experiments import (
     Report,
@@ -77,13 +78,43 @@ def test_parse_round_trip_minimal():
            f"methods[0]: {name} requires") for name in ("CW_a", "CW_b", "GQ1", "GQn")),
         (lambda d: d.update(methods=[{"name": "GQ1", "n": 4}, {"name": "GQ2", "n": 4}]),
          "methods[1]: GQ2 requires"),
+        (lambda d: d.update(methods=[{"name": "GQ1", "n": 4}, {"name": "GQ1", "n": 6}]),
+         "methods: duplicate method names"),
+        (lambda d: d.pop("sweep"), "sweep: missing required block"),
+        (lambda d: d.update(sweep=[]), "sweep: missing required block"),
+        (lambda d: d["sweep"].update(variable="u2", values=[0.05]),
+         "sweep.variable: 'u2' requires at least two bands"),
+        (lambda d: d.update(methods=[{"name": "DH"}], bands=[],
+                            sweep={"variable": "u1", "values": [0.1]}),
+         "sweep.variable: 'u1' requires at least one band"),
+        (lambda d: d.update(methods=[{"name": "DH", "n": 0}]), "methods[0].n: must be >= 1"),
+        (lambda d: d.update(methods=[{"name": "GQ1", "n": 0}]),
+         "methods[0].n: GQ1 uses legendre rules of order >= 1, got 0"),
+        (lambda d: d.update(methods=[{"name": "CW_a", "n": -1}]),
+         "methods[0].n: CW_a uses hermite rules of order >= 1, got -1"),
     ],
 )
-def test_parse_errors_name_the_field(mutate, fragment):
+def test_parse_errors_name_the_field(tmp_path, capsys, mutate, fragment):
     data = _base_config()
     mutate(data)
     with pytest.raises(ConfigError, match=fragment.replace("[", r"\[")):
         parse_config(data)
+    # the CLI reports the same error as a configuration error
+    path = tmp_path / "exp.cfg"
+    path.write_text(json.dumps(data))
+    assert main(["price", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and fragment in err
+
+
+@pytest.mark.parametrize("root", [[], 5, "x", None])
+def test_config_root_must_be_an_object(tmp_path, capsys, root):
+    with pytest.raises(ConfigError, match=r"^config root: expected an object$"):
+        parse_config(root)
+    path = tmp_path / "exp.cfg"
+    path.write_text(json.dumps(root))
+    assert main(["price", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: config root: expected an object\n"
 
 
 def test_simulation_block_validation():
@@ -130,6 +161,11 @@ def _band_config(variable, value):
     (_band_config, "u1", True, "expected float"),
     *((_band_config if var in ("u1", "u2") else _jump_config, var, "0.1", "expected float")
       for var in ("u1", "u2", "lambda", "mu_j", "sigma_j")),
+    (_band_config, "quad_points", 0, "quad_points must be >= 1, got 0"),
+    (_band_config, "quad_points", -2, "quad_points must be >= 1, got -2"),
+    (_band_config, "band", [{"lo": 85.0, "hi": 115.0}],
+     "each band value must list one entry per configured band"),
+    (_band_config, "band", 5, "each band value must list one entry per configured band"),
 ])
 def test_bad_sweep_value_is_config_error(make, variable, value, fragment):
     with pytest.raises(ConfigError, match=f"sweep.values: {fragment}"):
@@ -231,6 +267,12 @@ def test_emit_rejects_unknown_format(tmp_path):
     report = run_experiment(parse_config(_base_config()))
     with pytest.raises(ConfigError):
         emit(report, "parquet", tmp_path)
+
+
+def test_emit_rejects_an_empty_report(tmp_path):
+    with pytest.raises(ConfigError, match=r"^cannot emit an empty report$"):
+        emit(Report("quad_points", [], {}), "csv", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulation_stats_in_report(tmp_path):
@@ -470,12 +512,12 @@ _FIVE_BANDS = [{"maturity": 0.5 - 0.1 * i, "lo": 60.0, "hi": 140.0} for i in ran
 
 @pytest.mark.parametrize("name", list(spanning.STATIC_METHODS))
 @pytest.mark.parametrize("n_bands", range(6))
-@pytest.mark.parametrize("order", ["1", "cap", "cap + 1"])
+@pytest.mark.parametrize("order", ["1", "cap", "cap + 1", "0", "-1"])
 def test_config_and_builder_reject_the_same_methods(name, n_bands, order):
     from statichedge.quadrature import ORDER_CAP
 
     cap = ORDER_CAP[spanning.STATIC_METHODS[name][1]]
-    n = {"1": 1, "cap": cap, "cap + 1": cap + 1}[order]
+    n = {"1": 1, "cap": cap, "cap + 1": cap + 1, "0": 0, "-1": -1}[order]
     data = _base_config(methods=[{"name": name, "n": n}], bands=_FIVE_BANDS[:n_bands],
                         sweep={"variable": "quad_points", "values": [n]})
     config_error = build_error = None

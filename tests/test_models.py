@@ -377,6 +377,11 @@ def test_parameter_validation():
         OptionRef(strike=-5.0, maturity=1.0)
     with pytest.raises(DomainError):
         OptionRef(strike=100.0, maturity=1.0, kind="straddle")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^r must be finite, got {bad!r}$"):
+            BsParams(r=bad, delta_yield=0.0, sigma=0.2)
+        with pytest.raises(DomainError, match=f"^mu_j must be finite, got {bad!r}$"):
+            MjdParams(r=0.06, delta_yield=0.0, sigma=0.2, lam=1.0, mu_j=bad, sigma_j=0.1)
 
 
 def test_annualized_variance(bs_model, mjd_model):

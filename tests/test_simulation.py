@@ -46,6 +46,8 @@ def test_sim_config_validation():
         SimConfig(n_paths=10, seed=-1, step=0.01, horizon=0.1, spot0=100.0)
     with pytest.raises(SimulationError, match=r"^horizon: must be at least one step"):
         SimConfig(n_paths=10, seed=1, step=0.01, horizon=0.0, spot0=100.0)
+    with pytest.raises(SimulationError, match=r"^spot0: must be > 0, got 0\.0$"):
+        SimConfig(n_paths=10, seed=1, step=0.01, horizon=0.1, spot0=0.0)
     cfg = SimConfig(n_paths=10, seed=1, step=STEP, horizon=U1_GRID, spot0=100.0)
     assert cfg.n_steps == 40
 

@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from statichedge import (
+    BsParams,
+    DomainError,
     HedgePortfolio,
     ModifiedWeightConfig,
     OptionRef,
@@ -109,6 +111,19 @@ def test_cw_a_narrow_band_mjd(mjd_model, target):
 def test_cw_a_center_excluded(bs_model, target):
     with pytest.raises(SpanningError, match="center"):
         build_cw_a(bs_model, target, SPOT, StrikeBand(U1, 120.0, 130.0))
+
+
+def test_cw_a_raises_the_weight_error_of_the_first_rejected_order(target):
+    # At sigma 30 the order-163 ladder is the first with a strike that
+    # underflows to 0: the order search stops there, and the build raises
+    # the error the gamma weight raises on that ladder, not order 162's legs.
+    model = BsParams(0.06, 0.0, 30.0)
+    message = "^spot and strike must be finite and strictly positive$"
+    assert len(hermite_strike_map(model, STRIKE, MATURITY, 0.5, 162)) == 162
+    with pytest.raises(DomainError, match=message):
+        hermite_strike_map(model, STRIKE, MATURITY, 0.5, 163)
+    with pytest.raises(DomainError, match=message):
+        build_cw_a(model, target, SPOT, StrikeBand(0.5, 0.0, 1e300))
 
 
 def test_cw_b_survivor_counts_and_errors(bs_model, target):
@@ -389,6 +404,11 @@ def test_gq_n_band_validation(bs_model, target):
     put_target = OptionRef(STRIKE, MATURITY, kind="put")
     with pytest.raises(SpanningError, match="call"):
         build_gq1(bs_model, put_target, SPOT, b1, 4)
+    with pytest.raises(SpanningError, match="^band upper strike must be finite$"):
+        StrikeBand(U1, 80.0, math.inf)
+    for name in ("DH", "XX"):
+        with pytest.raises(SpanningError, match=f"^unknown static method '{name}'$"):
+            build_portfolios(bs_model, target, SPOT, [b1], {name: 4})
 
 
 # ---------------------------------------------------------------------------
