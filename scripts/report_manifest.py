@@ -17,11 +17,14 @@ words (2^64 + 3), so the per-path seeding of multi-word seeds is covered.
 One more generated config, ``mixed_orders.cfg``, runs every static method
 and DH on a jump model over 3 bands with unequal orders (GQ1 4, GQ2 6,
 GQn 8) and a ``modified_weight`` override, so hedges that share some but
-not all quadrature levels are covered.  Four more generated static configs
-(``SHARED_WORK``) sweep values that share build work: a ``u2`` sweep over
-3 jump-model bands with GQ2 and GQn, a band sweep whose leading band (and
-one whole value) repeats, a ``lambda`` sweep with a repeated value, and
-CW_a with CW_b under a ``quad_points`` sweep.
+not all quadrature levels are covered.  ``off_grid_leg.cfg`` is
+``mixed_orders.cfg`` with its third band at maturity 0.03, off the 1/252
+step grid and inside the horizon: every call on it is a config error
+(exit 2), so a change of exit code shows in the manifest too.  Four more
+generated static configs (``SHARED_WORK``) sweep values that share build
+work: a ``u2`` sweep over 3 jump-model bands with GQ2 and GQn, a band sweep
+whose leading band (and one whole value) repeats, a ``lambda`` sweep with a
+repeated value, and CW_a with CW_b under a ``quad_points`` sweep.
 Each call gets a fresh output directory, and the manifest lists the sha256 of
 every file written there and of the call's stdout (with the output
 directory replaced by ``<out>``), plus its exit code.  Two checkouts emit
@@ -77,6 +80,9 @@ MIXED_ORDERS = {
                    "checkpoints": [5 / 252, 10 / 252]},
 }
 
+
+OFF_GRID_LEG = {**MIXED_ORDERS, "bands": [*MIXED_ORDERS["bands"][:2],
+                                          {"maturity": 0.03, "lo": 55.0, "hi": 140.0}]}
 
 _MJD = MIXED_ORDERS["model"]
 _TARGET = MIXED_ORDERS["target"]
@@ -137,7 +143,9 @@ def main(argv=None) -> int:
     n_files = 0
     with tempfile.TemporaryDirectory() as gqn_dir:
         write_gqn_configs(Path(gqn_dir))
-        for name, data in {"mixed_orders.cfg": MIXED_ORDERS, **SHARED_WORK}.items():
+        generated = {"mixed_orders.cfg": MIXED_ORDERS, "off_grid_leg.cfg": OFF_GRID_LEG,
+                     **SHARED_WORK}
+        for name, data in generated.items():
             (Path(gqn_dir) / name).write_text(json.dumps(data, indent=2) + "\n")
         configs = sorted((root / "configs").glob("*.cfg")) + sorted(Path(gqn_dir).glob("*.cfg"))
         for config in configs:

@@ -124,9 +124,9 @@ def _require_simulation(cfg):
         raise ConfigError("simulation: block required for this subcommand")
 
 
-def _first_value_errors(cfg):
+def _first_value_errors(cfg, threads=None):
     """Error matrices of the first sweep value at every grid time."""
-    return simulate_methods(cfg, _build_contexts(cfg, cfg.resolved[:1]))[0]
+    return simulate_methods(cfg, _build_contexts(cfg, cfg.resolved[:1]), threads=threads)[0]
 
 
 def _cmd_simulate(cfg, args):
@@ -135,7 +135,7 @@ def _cmd_simulate(cfg, args):
     written = emit(report, args.format, args.out or ".")
     if args.errors:
         out = Path(args.out or ".")
-        for name, matrix in _first_value_errors(cfg).items():
+        for name, matrix in _first_value_errors(cfg, args.threads).items():
             path = out / f"errors_{name}.csv"
             write_errors_csv(path, cfg.simulation.times, matrix)
             written.append(path)
@@ -150,8 +150,8 @@ def _cmd_pfe(cfg, args):
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     curves = {name: pfe_curves(matrix) for name, matrix in errors.items()}
-    header = ["time"] + [f"{name}_p{level}" for name in curves for level in (95, 5)]
-    columns = [cfg.simulation.times] + [c[level] for c in curves.values() for level in (95, 5)]
+    header = ["time"] + [f"{name}_p{level}" for name, c in curves.items() for level in c]
+    columns = [cfg.simulation.times] + [column for c in curves.values() for column in c.values()]
     print(_write_csv(out / "pfe.csv", [header, *zip(*(c.tolist() for c in columns))], "\n"))
     return EXIT_OK
 

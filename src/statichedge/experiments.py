@@ -42,11 +42,13 @@ quadrature order (``n``, a ``quad_points`` value) sizes; every order, the
 parameter so the total annualized return variance stays fixed.  Only call
 targets are supported.  ``parse_config`` builds the simulation
 block's ``SimConfig`` itself (``spot0`` is the target spot): the horizon
-lies on its step grid (``simulation.grid_index``) below the target
-maturity, and each checkpoint maps to a grid column in ``1..n_steps``.
-With a static method, the horizon may not pass the first band's maturity,
-checked per sweep value (``u1`` included).  Bad input, sweep values
-included, raises a ``ConfigError`` naming the field.
+lies on its step grid (``simulation.grid_index``), and each checkpoint
+maps to a grid column in ``1..n_steps``.  Per sweep value, the bands
+strictly decrease in maturity below the target's, the horizon stays below
+the target maturity and does not pass the first band, and each band a
+static method hedges with that expires inside the horizon lies on the grid
+(``simulation._leg_columns``).  Bad input, sweep values included, raises a
+``ConfigError`` naming the field.
 """
 from __future__ import annotations
 
@@ -67,7 +69,7 @@ from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, Optio
 from .simulation import (
     HedgeErrorStats,
     SimConfig,
-    _check_horizon,
+    _leg_columns,
     delta_hedge_run,
     grid_index,
     simulate_paths,
@@ -236,8 +238,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     if raw_bands != []:
         raw_bands = _coerce(raw_bands, "bands", list)
     bands = tuple(_parse_band(b, f"bands[{i}]") for i, b in enumerate(raw_bands))
-    with _config_errors(""):
-        check_band_order(bands, target)
 
     ssec = data.get("sweep")
     if not isinstance(ssec, dict):
@@ -283,7 +283,6 @@ def parse_config(data: dict) -> ExperimentConfig:
             sim = SimConfig(n_paths=n_paths, seed=_get(sisec, "simulation", "seed", int),
                             step=_get(sisec, "simulation", "step", float),
                             horizon=horizon, spot0=spot)
-            _check_horizon(sim.times[-1], target)
             # Statistics are read off the grid column of each checkpoint.
             for c in checkpoints:
                 if not 1 <= grid_index("checkpoints", c, sim.step) <= sim.n_steps:
@@ -349,11 +348,11 @@ class Report:
 
 
 def _resolve(cfg: ExperimentConfig, value):
-    """Resolve one sweep value to ``(model, bands, per-method orders)``;
+    """Resolve one sweep value to ``(model, bands, static-method orders)``;
     a bad value raises ``ConfigError``."""
     model = cfg.model
     bands = list(cfg.bands)
-    orders = {m.name: m.n for m in cfg.methods}
+    orders = {m.name: m.n for m in cfg.methods if m.name in STATIC_METHODS}
     var = cfg.sweep.variable
     if var == "quad_points":
         n = _coerce(value, "sweep.values", int)
@@ -392,22 +391,20 @@ def _resolve(cfg: ExperimentConfig, value):
             model = replace(model, sigma=math.sqrt(resid))
     with _config_errors(""):
         check_band_order(bands, cfg.target)
-    if cfg.simulation is not None and any(m.name in STATIC_METHODS for m in cfg.methods):
-        # The longest leg of every static portfolio expires at bands[0].
+    if cfg.simulation is not None:
+        # Each static method hedges with its leading bands, bands[0] the longest.
+        depth = max((check_method(name, None, bands) for name in orders), default=0)
         with _config_errors("simulation."):
-            _check_horizon(cfg.simulation.times[-1], cfg.target, [bands[0].maturity])
+            _leg_columns(cfg.simulation.times, cfg.target, [b.maturity for b in bands[:depth]])
     return model, bands, orders
 
 
 def _build_contexts(cfg: ExperimentConfig, resolved) -> list:
-    """The ``(model, per-method orders, portfolios)`` of each ``_resolve``
-    result in ``resolved``: one ``build_sweep`` call builds the static
-    portfolios (all methods but DH) of all of them, sharing the work the
-    values have in common."""
-    cases = [(model, bands, {m.name: orders[m.name] for m in cfg.methods
-                             if m.name in STATIC_METHODS})
-             for model, bands, orders in resolved]
-    built = build_sweep(cfg.target, cfg.spot, cases, cfg.modified_weight)
+    """The ``(model, static-method orders, portfolios)`` of each
+    ``_resolve`` result in ``resolved``: one ``build_sweep`` call builds the
+    static portfolios of all of them, sharing the work the values have in
+    common."""
+    built = build_sweep(cfg.target, cfg.spot, resolved, cfg.modified_weight)
     return [(model, orders, portfolios)
             for (model, _, orders), portfolios in zip(resolved, built)]
 

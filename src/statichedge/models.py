@@ -101,6 +101,7 @@ class BsParams:
             _require_finite(name, getattr(self, name))
         if self.sigma <= 0.0:
             raise DomainError(f"sigma must be > 0, got {self.sigma!r}")
+        _require_finite("sigma ** 2", self.sigma * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,12 @@ class MjdParams:
             raise DomainError(f"sigma_j must be > 0, got {self.sigma_j!r}")
         if self.lam < 0.0:
             raise DomainError(f"lam must be >= 0, got {self.lam!r}")
-        _require_finite("g", self.g)
+        _require_finite("sigma ** 2", self.sigma * self.sigma)
+        try:
+            g = self.g
+        except OverflowError:
+            g = math.inf
+        _require_finite("g = expm1(mu_j + sigma_j ** 2 / 2)", g)
 
     @property
     def g(self) -> float:

@@ -42,8 +42,9 @@ do not depend on the executor.
 
 The grid is ``SimConfig.times``, shared by ``simulate_paths`` and the CLI
 writers.  ``grid_index`` is the one on-grid rule (within ``1e-9`` of a
-multiple of ``step``) for the horizon, leg maturities and the checkpoints
-of the experiment config, which builds its ``SimConfig`` itself.
+multiple of ``step``), and ``_leg_columns`` the one horizon and leg-grid
+check: both hedge runs call it, and so does the experiment config for each
+sweep value, before any path is simulated.
 """
 from __future__ import annotations
 
@@ -267,16 +268,20 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
     return PathSet(cfg.times, values)
 
 
-def _check_horizon(horizon: float, target: OptionRef, leg_maturities=()):
-    """The grid ``horizon`` must stay below the target maturity and must
-    not pass the longest of ``leg_maturities``."""
-    horizon = float(horizon)
+def _leg_columns(times: np.ndarray, target: OptionRef, maturities=()) -> dict:
+    """``{maturity: grid index}`` of the leg ``maturities`` inside the
+    horizon of the grid ``times``, each of which must lie on the grid so its
+    payoff is observed.  The horizon must stay below the ``target`` maturity
+    and must not pass the longest leg."""
+    horizon, step = float(times[-1]), float(times[1] - times[0])
     if horizon >= target.maturity:
         raise SimulationError(f"horizon: grid horizon {horizon!r} must stay below the "
                               f"target maturity {target.maturity!r}")
-    if leg_maturities and horizon > max(leg_maturities) + _GRID_TOL:
+    if maturities and horizon > max(maturities) + _GRID_TOL:
         raise SimulationError(f"horizon: grid horizon {horizon!r} extends past the longest "
-                              f"hedge leg {max(leg_maturities)!r}")
+                              f"hedge leg {max(maturities)!r}")
+    return {m: grid_index("leg maturity", m, step) for m in maturities
+            if m <= horizon + _GRID_TOL}
 
 
 def _column_slots(times: np.ndarray, columns) -> tuple:
@@ -306,7 +311,7 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
     The kernels share their blocks with ``executor`` when one is given.
     """
     times = paths.times
-    _check_horizon(times[-1], target)
+    _leg_columns(times, target)
     n_columns, slots = _column_slots(times, columns)
     r = model.r
     S = paths.values
@@ -325,20 +330,6 @@ def delta_hedge_run(paths: PathSet, model: ModelSpec, target: OptionRef,
     return errors
 
 
-def _leg_expiries(times: np.ndarray, portfolio: HedgePortfolio) -> list:
-    """Check ``portfolio`` against the grid; return each leg's expiry grid
-    index, or None for a leg that outlives the horizon."""
-    leg_maturities = portfolio.maturities
-    _check_horizon(times[-1], portfolio.target, leg_maturities)
-    # Legs expiring after the horizon stay alive for the whole run; legs
-    # expiring inside it must sit on the grid so their payoff is observed.
-    maturity_index = {
-        m: grid_index("leg maturity", m, times[1] - times[0])
-        for m in leg_maturities if m <= times[-1] + _GRID_TOL
-    }
-    return [maturity_index.get(leg.maturity) for leg in portfolio.legs]
-
-
 def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None,
                       executor=None) -> list:
     """Discounted errors of several static hedges held on one path set.
@@ -355,7 +346,11 @@ def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None
     portfolio's live legs to its cash and matured payoffs, in leg order.
     """
     times = paths.times
-    expiries = [_leg_expiries(times, p) for p in portfolios]
+    # Each leg's expiry grid index, or None for a leg that outlives the horizon.
+    expiries = []
+    for p in portfolios:
+        expiry = _leg_columns(times, p.target, p.maturities)
+        expiries.append([expiry.get(leg.maturity) for leg in p.legs])
     n_columns, slots = _column_slots(times, columns)
     r = model.r
     S = paths.values

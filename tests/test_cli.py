@@ -112,6 +112,30 @@ def test_thread_pool_defaults_to_the_usable_cpus(tmp_path, monkeypatch, flags, p
     assert started == pools
 
 
+# run_experiment, then the first value's rerun at every grid time
+@pytest.mark.parametrize("command, flags, threads", [
+    ("simulate", ["--errors", "--threads", "1"], [1, 1]),
+    ("simulate", ["--errors", "--threads", "2"], [2, 2]),
+    ("simulate", ["--errors"], [None, None]),
+    ("pfe", [], [None]),
+])
+def test_error_matrix_rerun_uses_the_thread_count(tmp_path, monkeypatch, command, flags,
+                                                  threads):
+    from statichedge import experiments
+
+    original, seen = experiments.simulate_methods, []
+
+    def recording(cfg, contexts, columns=None, threads=None):
+        seen.append(threads)
+        return original(cfg, contexts, columns, threads)
+
+    monkeypatch.setattr(experiments, "simulate_methods", recording)
+    monkeypatch.setattr(cli, "simulate_methods", recording)
+    cfg = _write_config(tmp_path, _small_sim_config())
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 0
+    assert seen == threads
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, _small_sim_config())
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -211,27 +235,41 @@ def test_off_grid_horizon_is_config_error(tmp_path, capsys):
         capsys.readouterr().err)
 
 
-# The message gives the grid's last time, n_steps * step.
-@pytest.mark.parametrize("simulation, sweep, message", [
+# The message gives the grid's last time, n_steps * step, and the step, as
+# Python floats.
+@pytest.mark.parametrize("simulation, overrides, message", [
     ({"horizon": 1.0, "checkpoints": [0.5]}, None,
      "simulation.horizon: grid horizon 1.0 must stay below the target maturity 1.0"),
     ({"horizon": 41 / 252, "checkpoints": [41 / 252]}, None,
      f"simulation.horizon: grid horizon {41 * (1 / 252)!r} extends past the longest hedge leg "
      f"{40 / 252!r}"),
-    ({}, {"variable": "u1", "values": [40 / 252, 10 / 252]},
+    ({}, {"sweep": {"variable": "u1", "values": [40 / 252, 10 / 252]}},
      f"simulation.horizon: grid horizon {21 * (1 / 252)!r} extends past the longest hedge leg "
      f"{10 / 252!r}"),
     ({"checkpoints": [1e-10]}, None,
      "simulation.checkpoints: 1e-10 must map to a grid column in 1..21"),
+    # GQ2 hedges with the second band, which expires inside the horizon
+    ({}, {"methods": [{"name": "DH"}, {"name": "GQ2", "n": 8}],
+          "bands": [{"maturity": 40 / 252, "lo": 80.0, "hi": 120.0},
+                    {"maturity": 0.05, "lo": 80.0, "hi": 120.0}]},
+     "simulation.leg maturity: 0.05 is not on the step grid (step 0.003968253968253968)"),
 ])
-def test_simulation_block_off_its_grid_is_config_error(tmp_path, capsys, simulation, sweep,
+def test_simulation_block_off_its_grid_is_config_error(tmp_path, capsys, simulation, overrides,
                                                         message):
     data = _small_sim_config()
     data["simulation"].update(simulation)
-    data["sweep"] = sweep or data["sweep"]
+    data.update(overrides or {})
     cfg = _write_config(tmp_path, data)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "np.float64" not in err
+
+
+def test_off_grid_band_that_no_method_hedges_with_runs(tmp_path):
+    data = _small_sim_config()
+    data["bands"].append({"maturity": 0.05, "lo": 80.0, "hi": 120.0})
+    cfg = _write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_checkpoint_within_the_grid_tolerance_of_the_horizon_runs(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import sys
@@ -92,12 +93,20 @@ def test_parse_round_trip_minimal():
          "methods[0].n: GQ1 uses legendre rules of order >= 1, got 0"),
         (lambda d: d.update(methods=[{"name": "CW_a", "n": -1}]),
          "methods[0].n: CW_a uses hermite rules of order >= 1, got -1"),
+        # finite parameters that overflow a float
+        (lambda d: d["model"].update(sigma=1e200), "model: sigma ** 2 must be finite, got inf"),
+        *((lambda d, field=field, value=value: d["model"].update(
+              {"type": "mjd", "lam": 1.0, "mu_j": 0.0, "sigma_j": 0.1, field: value}),
+           f"model: {name} must be finite, got inf")
+          for field, value, name in [("sigma", 1e200, "sigma ** 2"),
+                                     ("mu_j", 800.0, "g = expm1(mu_j + sigma_j ** 2 / 2)"),
+                                     ("sigma_j", 1e200, "g = expm1(mu_j + sigma_j ** 2 / 2)")]),
     ],
 )
 def test_parse_errors_name_the_field(tmp_path, capsys, mutate, fragment):
     data = _base_config()
     mutate(data)
-    with pytest.raises(ConfigError, match=fragment.replace("[", r"\[")):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
         parse_config(data)
     # the CLI reports the same error as a configuration error
     path = tmp_path / "exp.cfg"
@@ -212,6 +221,21 @@ def test_band_sweep_rows_carry_pdl():
     pdls = [row.pdl for row in report.rows]
     assert all(p is not None and p >= 0 for p in pdls)
     assert pdls[2] == pytest.approx(82.2, abs=1.0)
+
+
+def test_zero_gq1_edl_leaves_the_pdl_cell_empty(tmp_path):
+    from dataclasses import replace
+
+    cfg = load_config(CONFIG_DIR / "table2.cfg")
+    ((_, orders, portfolios),) = experiments._build_contexts(cfg, cfg.resolved[:1])
+    portfolios["GQ1"] = replace(portfolios["GQ1"], b0=0.0)
+    row = experiments._inception_row(cfg, cfg.sweep.values[0], orders, portfolios)
+    assert row.methods["GQ1"]["edl"] == 0.0 and row.methods["GQ2"]["edl"] != 0.0
+    assert row.pdl is None
+    (path,) = emit(Report(cfg.sweep.variable, [row], {"config": cfg.raw}), "csv", tmp_path)
+    with open(path, newline="") as fh:
+        header, cells = csv.reader(fh)
+    assert header[-1] == "pdl" and cells[-1] == ""
 
 
 def test_u2_sweep_emits_plot_series(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -382,6 +383,15 @@ def test_parameter_validation():
             BsParams(r=bad, delta_yield=0.0, sigma=0.2)
         with pytest.raises(DomainError, match=f"^mu_j must be finite, got {bad!r}$"):
             MjdParams(r=0.06, delta_yield=0.0, sigma=0.2, lam=1.0, mu_j=bad, sigma_j=0.1)
+    # finite parameters whose square or mean jump size overflows a float
+    with pytest.raises(DomainError, match=r"^sigma \*\* 2 must be finite, got inf$"):
+        BsParams(r=0.06, delta_yield=0.0, sigma=1e200)
+    mjd = {"r": 0.06, "delta_yield": 0.0, "sigma": 0.2, "lam": 1.0, "mu_j": 0.0, "sigma_j": 0.1}
+    g = "g = expm1(mu_j + sigma_j ** 2 / 2)"
+    for field, value, name in [("sigma", 1e200, "sigma ** 2"), ("mu_j", 800.0, g),
+                               ("sigma_j", 1e200, g)]:
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} must be finite, got inf$"):
+            MjdParams(**{**mjd, field: value})
 
 
 def test_annualized_variance(bs_model, mjd_model):
