@@ -171,10 +171,14 @@ def _maybe_scalar(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _tau_or_intrinsic(t, T):
+def _tau_or_intrinsic(t, T, t_name="t"):
     """Return time to expiry, or None when the option should be priced at
-    intrinsic value (inside the expiry floor)."""
+    intrinsic value (inside the expiry floor).  A NaN or infinite time
+    raises ``DomainError`` naming it (``t_name`` for ``t``, else ``T``)."""
     tau = float(T) - float(t)
+    if not math.isfinite(tau):
+        _require_finite(t_name, float(t))
+        _require_finite("T", float(T))
     if tau < -1e-12:
         raise DomainError(f"valuation time {t!r} is after expiry {T!r}")
     if tau <= TAU_FLOOR:
@@ -411,7 +415,7 @@ def strike_gamma_weight(model: ModelSpec, x, u, K, T):
     w2(k2, k1) = d2C/dx2(k2, u2, k1, u1).
     """
     xa, Ka = _as_positive_pair(x, K)
-    tau = _tau_or_intrinsic(u, T)
+    tau = _tau_or_intrinsic(u, T, "u")
     if tau is None:
         raise DomainError(f"weight undefined for u >= T (u={u!r}, T={T!r})")
     probs, rates, vols, spot_disc, _, outer = _mixture(model, tau)

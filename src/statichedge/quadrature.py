@@ -17,6 +17,24 @@ Rules are cached per ``(kind, order)`` because experiment sweeps reuse
 them thousands of times.  Cached rules are immutable (read-only arrays)
 and safe to share across threads; the cache itself is a thread-safe
 idempotent insert.
+
+Construction is Golub-Welsch (``_golub_welsch``): the nodes are the
+eigenvalues of the family's symmetric tridiagonal Jacobi matrix, from
+``numpy.linalg.eigvalsh`` on the dense matrix.  One Newton step on the
+orthogonal polynomial then polishes them, and the weights are
+``1 / (p_{n-1}(x) p_n'(x))``, log-normalised against overflow,
+symmetrised for the even families and scaled to sum to ``mu0``.  This
+follows scipy 1.17.1's ``_gen_roots_and_weights`` and the family set-ups
+of ``roots_legendre``, ``roots_hermite`` and ``roots_genlaguerre(n, 0)``
+expression for expression (with alpha = 0 folded into the Laguerre
+terms), so every rule is bitwise scipy's; ``tests/test_quadrature.py``
+checks every order.  That code is scipy's, used under its BSD-3 licence
+(Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers).
+scipy's own version imports ``scipy.linalg`` for ``eigvals_banded``, about
+5 MiB of resident memory that this module does not need.  Hermite rules above
+order ``HERMITE_ASYMPTOTIC`` = 150 come from ``scipy.special.roots_hermite``
+itself, which switches there to an asymptotic expansion (no
+``scipy.linalg`` either).
 """
 from __future__ import annotations
 
@@ -25,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite, roots_laguerre, roots_legendre
+from scipy.special import eval_genlaguerre, eval_hermite, eval_legendre, roots_hermite
 
 from .errors import QuadratureError
 
@@ -44,10 +62,53 @@ LAGUERRE = "laguerre"
 # family is capped lower than the other two.
 ORDER_CAP = {LEGENDRE: 200, HERMITE: 200, LAGUERRE: 180}
 
-_ROOTS = {
-    LEGENDRE: roots_legendre,
-    HERMITE: roots_hermite,
-    LAGUERRE: roots_laguerre,
+# scipy's switch from Golub-Welsch to the asymptotic Hermite rule.
+HERMITE_ASYMPTOTIC = 150
+
+
+def _golub_welsch(n, mu0, diag, off, p, dp, symmetrize):
+    """Order-``n`` Gauss rule of the monic recurrence p_{k+1} = (x -
+    diag(k)) p_k - off(k)^2 p_{k-1}, with weights summing to ``mu0``.
+    ``p(n, x)`` and ``dp(n, x)`` evaluate the family's orthogonal
+    polynomial and its derivative.  scipy's ``_gen_roots_and_weights``,
+    with a dense ``eigvalsh`` in place of ``scipy.linalg.eigvals_banded``."""
+    k = np.arange(n, dtype="d")
+    b = off(k[1:])
+    x = np.linalg.eigvalsh(np.diag(diag(k)) + np.diag(b, 1) + np.diag(b, -1))
+    # one Newton step on the eigenvalues
+    y = p(n, x)
+    dy = dp(n, x)
+    x -= y / dy
+    # p_{n-1} and p_n' span many magnitudes: centre each on the log scale
+    # before the product
+    fm = p(n - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.)
+    w = 1.0 / (fm * dy)
+    if symmetrize:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
+    return x, w
+
+
+def _laguerre_dp(n, x):
+    return (n * eval_genlaguerre(n, 0.0, x) - n * eval_genlaguerre(n - 1, 0.0, x)) / x
+
+
+# (mu0, diag, off, p, dp, symmetrize) of each family, as scipy sets them up
+_FAMILIES = {
+    LEGENDRE: (2.0, lambda k: 0.0 * k, lambda k: k * np.sqrt(1.0 / (4 * k * k - 1)),
+               eval_legendre,
+               lambda n, x: (-n * x * eval_legendre(n, x) + n * eval_legendre(n - 1, x))
+               / (1 - x ** 2),
+               True),
+    HERMITE: (np.sqrt(np.pi), lambda k: 0.0 * k, lambda k: np.sqrt(k / 2.0),
+              eval_hermite, lambda n, x: 2.0 * n * eval_hermite(n - 1, x), True),
+    LAGUERRE: (1.0, lambda k: 2 * k + 1, lambda k: -k,
+               lambda n, x: eval_genlaguerre(n, 0.0, x), _laguerre_dp, False),
 }
 
 
@@ -72,16 +133,19 @@ class QuadratureRule:
 
 def _normalize_kind(kind):
     k = str(kind).strip().lower()
-    if k not in _ROOTS:
+    if k not in _FAMILIES:
         raise QuadratureError(
-            f"unknown rule kind {kind!r}; expected one of {sorted(_ROOTS)}"
+            f"unknown rule kind {kind!r}; expected one of {sorted(_FAMILIES)}"
         )
     return k
 
 
 @lru_cache(maxsize=None)
 def _cached_rule(kind: str, n: int) -> QuadratureRule:
-    x, w = _ROOTS[kind](n)
+    if kind == HERMITE and n > HERMITE_ASYMPTOTIC:
+        x, w = roots_hermite(n)
+    else:
+        x, w = _golub_welsch(n, *_FAMILIES[kind])
     return QuadratureRule(kind, n, np.asarray(x, dtype=float), np.asarray(w, dtype=float))
 
 

@@ -89,10 +89,18 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out4 / "report.json").read_bytes()
 
 
-# the calling thread prices too, so n threads start a pool of n - 1 workers
-@pytest.mark.parametrize("flags, pools", [([], [2]), (["--threads", "1"], []),
-                                          (["--threads", "2"], [1])])
-def test_thread_pool_defaults_to_the_usable_cpus(tmp_path, monkeypatch, flags, pools):
+# the calling thread prices too, so n threads start a pool of n - 1 workers;
+# an affinity mask (here three CPUs) beats the CPU count, which decides only
+# where the platform has no mask, and an unknown count means one thread
+@pytest.mark.parametrize("flags, pools, affinity, cpu_count", [
+    pytest.param([], [2], {0, 2, 5}, 8, id="flags0-pools0"),
+    pytest.param(["--threads", "1"], [], {0, 2, 5}, 8, id="flags1-pools1"),
+    pytest.param(["--threads", "2"], [1], {0, 2, 5}, 8, id="flags2-pools2"),
+    pytest.param([], [2], None, 3, id="no-affinity-3-cpus"),
+    pytest.param([], [], None, None, id="no-affinity-unknown-cpus"),
+])
+def test_thread_pool_defaults_to_the_usable_cpus(tmp_path, monkeypatch, flags, pools, affinity,
+                                                 cpu_count):
     from concurrent.futures import ThreadPoolExecutor
 
     from statichedge import experiments
@@ -105,8 +113,11 @@ def test_thread_pool_defaults_to_the_usable_cpus(tmp_path, monkeypatch, flags, p
             super().__init__(max_workers)
 
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-    # the process may run on three CPUs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     assert main(["sweep", "--config", str(CONFIG_DIR / "table5.cfg"),
                  "--out", str(tmp_path)] + flags) == 0
     assert started == pools
@@ -487,6 +498,33 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("target_price=11.98825250")
+
+
+# every subcommand in one fresh interpreter (this test process has imported
+# scipy.integrate, which loads scipy.linalg), then the scipy.linalg modules
+_IMPORT_CHECK = """
+import json, sys
+from statichedge.cli import main
+configs, out = sys.argv[1:]
+for i, (command, config, *flags) in enumerate([
+        ("price", "table12.cfg"), ("build", "table7.cfg"), ("sweep", "table1.cfg"),
+        ("sweep", "table12.cfg"), ("simulate", "table5.cfg", "--errors"),
+        ("pfe", "table5.cfg")]):
+    code = main([command, "--config", f"{configs}/{config}", "--out", f"{out}/{i}", *flags])
+    assert code == 0, (command, config, code)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.linalg"))))
+"""
+
+
+def test_no_run_imports_scipy_linalg(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, str(CONFIG_DIR), str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def _fuzz_bases():

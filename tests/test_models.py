@@ -367,6 +367,19 @@ def test_non_finite_spot_or_strike_is_domain_error(bs_model, fn, bad):
         fn(bs_model, SPOT, 0.0, bad, MATURITY)
 
 
+@pytest.mark.parametrize("model_name", ["bs_model", "mjd_model"])
+@pytest.mark.parametrize("fn, t_name", [(call_price, "t"), (put_price, "t"), (delta, "t"),
+                                        (strike_gamma_weight, "u")])
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_domain_error_naming_it(request, model_name, fn, t_name, slot, bad):
+    times = [U1, MATURITY]
+    times[slot] = bad
+    name = (t_name, "T")[slot]
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got {bad!r}$"):
+        fn(request.getfixturevalue(model_name), SPOT, times[0], STRIKE, times[1])
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         BsParams(r=0.06, delta_yield=0.0, sigma=0.0)

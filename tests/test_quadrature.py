@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_hermite, roots_laguerre, roots_legendre
 
 from statichedge import QuadratureError, make_rule, map_to_interval
-from statichedge.quadrature import ORDER_CAP
+from statichedge.quadrature import ORDER_CAP, _cached_rule
 
 
 def test_legendre_two_point():
@@ -29,6 +30,7 @@ def test_laguerre_one_point():
 
 
 WEIGHT_SUM = {"legendre": 2.0, "hermite": math.sqrt(math.pi), "laguerre": 1.0}
+SCIPY_ROOTS = {"legendre": roots_legendre, "hermite": roots_hermite, "laguerre": roots_laguerre}
 
 
 @pytest.mark.parametrize("kind", ["legendre", "hermite", "laguerre"])
@@ -36,6 +38,9 @@ def test_rule_invariants_full_order_range(kind):
     for n in range(1, ORDER_CAP[kind] + 1):
         rule = make_rule(kind, n)
         assert rule.order == n and len(rule.nodes) == n
+        nodes, weights = SCIPY_ROOTS[kind](n)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights), \
+            f"{kind} n={n}: not bitwise scipy's rule"
         assert np.all(np.diff(rule.nodes) > 0), f"{kind} n={n}: nodes not ascending"
         assert np.all(rule.weights > 0), f"{kind} n={n}: weight not positive"
         assert abs(rule.weights.sum() - WEIGHT_SUM[kind]) < 1e-12
@@ -65,17 +70,28 @@ def test_rules_are_cached_and_immutable():
 
 
 def test_concurrent_first_construction():
+    # one Golub-Welsch order per family, and one asymptotic Hermite order;
+    # other tests have built them already, so empty the cache first
+    orders = [("legendre", 37), ("hermite", 61), ("laguerre", 45), ("hermite", 173)]
+    _cached_rule.cache_clear()
+    start = threading.Barrier(8)
     results = []
 
     def build():
-        results.append(make_rule("hermite", 173))
+        start.wait(timeout=60)
+        results.append([make_rule(kind, n) for kind, n in orders])
 
     threads = [threading.Thread(target=build) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert all(np.array_equal(r.nodes, results[0].nodes) for r in results)
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(results) == 8
+    for i in range(len(orders)):
+        first = results[0][i]
+        assert all(np.array_equal(r[i].nodes, first.nodes)
+                   and np.array_equal(r[i].weights, first.weights) for r in results)
 
 
 def test_map_identity_interval():
