@@ -27,7 +27,6 @@ from .errors import (
     SingularMaturityError,
     SpanningError,
     StaticHedgeError,
-    UndefinedPdlError,
 )
 from .models import (
     BsParams,

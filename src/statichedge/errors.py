@@ -39,9 +39,5 @@ class SingularMaturityError(SpanningError):
     weight has a vanishing time denominator there."""
 
 
-class UndefinedPdlError(NumericalError):
-    """Loss-reduction percentage requested with a zero reference loss."""
-
-
 class SimulationError(NumericalError, ValueError):
     """Simulation grid or hedge-evolution preconditions violated."""

@@ -64,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, UndefinedPdlError
+from .errors import ConfigError
 from .models import MAX_TERMS, MIN_TERMS, PMF_CUTOFF, BsParams, MjdParams, OptionRef
 from .simulation import (
     HedgeErrorStats,
@@ -470,10 +470,7 @@ def _inception_row(cfg: ExperimentConfig, value, orders, portfolios) -> ReportRo
         }
     pdl_value = None
     if "GQ1" in methods and "GQ2" in methods:
-        try:
-            pdl_value = pdl(methods["GQ1"]["edl"], methods["GQ2"]["edl"])
-        except UndefinedPdlError:
-            pass
+        pdl_value = pdl(methods["GQ1"]["edl"], methods["GQ2"]["edl"])
     return ReportRow(value, methods, pdl_value)
 
 

@@ -144,19 +144,16 @@ ModelSpec = Union[BsParams, MjdParams]
 
 @dataclass(frozen=True)
 class OptionRef:
-    """A European option identified by strike, maturity (years) and kind."""
+    """A European call identified by strike and maturity (years)."""
 
     strike: float
     maturity: float
-    kind: str = "call"
 
     def __post_init__(self):
         if self.strike <= 0.0 or not math.isfinite(self.strike):
             raise DomainError(f"strike must be > 0, got {self.strike!r}")
         if self.maturity <= 0.0 or not math.isfinite(self.maturity):
             raise DomainError(f"maturity must be > 0, got {self.maturity!r}")
-        if self.kind not in ("call", "put"):
-            raise DomainError(f"kind must be 'call' or 'put', got {self.kind!r}")
 
 
 def _as_positive_pair(S, K):

@@ -135,12 +135,17 @@ class SimConfig:
 @dataclass(frozen=True)
 class PathSet:
     """Simulated spot grid: ``times`` of shape (N+1,), ``values`` of shape
-    (n_paths, N+1) with ``values[:, 0] == spot0``."""
+    (n_paths, N+1) with ``values[:, 0] == spot0``.  Any other shapes, or
+    fewer than two grid times, raise ``SimulationError``."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        if self.times.ndim != 1 or self.times.size < 2 or self.values.shape[1:] != self.times.shape:
+            raise SimulationError(f"paths: need at least 2 grid times and an (n_paths, n_times) "
+                                  f"value matrix, got times of shape {self.times.shape} and "
+                                  f"values of shape {self.values.shape}")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -286,10 +291,13 @@ def _leg_columns(times: np.ndarray, target: OptionRef, maturities=()) -> dict:
 
 def _column_slots(times: np.ndarray, columns) -> tuple:
     """Resolve the grid ``columns`` a hedge run returns (default: every grid
-    time) to ``(n_columns, {grid index: output positions})``."""
-    columns = range(len(times)) if columns is None else [int(c) for c in columns]
+    time) to ``(n_columns, {grid index: output positions})``.  A column
+    that is a bool or not an integer raises ``SimulationError``."""
+    columns = range(len(times)) if columns is None else list(columns)
     slots = {}
     for j, c in enumerate(columns):
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise SimulationError(f"column {c!r} is not an integer grid index")
         if not 0 <= c < len(times):
             raise SimulationError(f"column {c!r} is outside the grid 0..{len(times) - 1}")
         slots.setdefault(c, []).append(j)
@@ -454,10 +462,15 @@ def write_errors_csv(path, times: np.ndarray, errors: np.ndarray):
 
     Cells are the ``repr`` of each value as a Python float, and rows end in
     ``\\r\\n``: the bytes the ``csv`` module's default dialect writes for
-    these cells, none of which needs quoting.
+    these cells, none of which needs quoting.  An ``errors`` matrix that
+    is not 2-D with one column per time raises ``SimulationError``.
     """
-    header = ",".join(["path"] + [repr(t) for t in np.asarray(times, dtype=float).tolist()])
+    times, errors = np.asarray(times, dtype=float), np.asarray(errors, dtype=float)
+    if errors.ndim != 2 or errors.shape[1:] != times.shape:
+        raise SimulationError(f"errors: need one column per grid time, got shape "
+                              f"{errors.shape} for times of shape {times.shape}")
+    header = ",".join(["path"] + [repr(t) for t in times.tolist()])
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
         fh.writelines(f"{idx},{','.join(map(repr, row))}\r\n"
-                      for idx, row in enumerate(np.asarray(errors, dtype=float).tolist()))
+                      for idx, row in enumerate(errors.tolist()))

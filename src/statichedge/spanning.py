@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, SingularMaturityError, SpanningError, UndefinedPdlError
+from .errors import NumericalError, SingularMaturityError, SpanningError
 from .models import (
     ModelSpec,
     OptionRef,
@@ -158,13 +158,6 @@ class ModifiedWeightConfig:
             if not 1 <= n <= ORDER_CAP[kind]:
                 raise SpanningError(f"{name}: {kind} order must lie in "
                                     f"[1, {ORDER_CAP[kind]}], got {n!r}")
-
-
-def _require_call_target(target: OptionRef):
-    if target.kind != "call":
-        raise SpanningError(
-            "hedge builders support call targets; price puts via put-call parity"
-        )
 
 
 def check_band_order(bands, target: OptionRef):
@@ -452,7 +445,6 @@ def build_sweep(
     ``orders``; the first one that fails raises, unless the inception
     pricing of an earlier case or method fails, which comes first.
     """
-    _require_call_target(target)
     shared = _Shared(target, cfg)
     built = []
     try:
@@ -591,11 +583,12 @@ def edl(target_value: float, hedge_value: float) -> float:
     return hedge_value - target_value
 
 
-def pdl(edl_gq1: float, edl_gq2: float) -> float:
+def pdl(edl_gq1: float, edl_gq2: float) -> float | None:
     """Percentage decrease in loss from adding the second maturity:
-    (|edl_gq1| - |edl_gq2|) / |edl_gq1| * 100."""
+    (|edl_gq1| - |edl_gq2|) / |edl_gq1| * 100, or None when the GQ1 loss
+    is zero and the percentage is undefined."""
     if edl_gq1 == 0.0:
-        raise UndefinedPdlError("reference loss is zero; PDL undefined")
+        return None
     return (abs(edl_gq1) - abs(edl_gq2)) / abs(edl_gq1) * 100.0
 
 
@@ -617,7 +610,7 @@ def portfolio_to_csv(portfolio: HedgePortfolio, path):
     lines = [
         "# statichedge portfolio v1",
         f"# method_tag={portfolio.method_tag}",
-        f"# target_kind={portfolio.target.kind}",
+        "# target_kind=call",
         f"# target_strike={portfolio.target.strike!r}",
         f"# target_maturity={portfolio.target.maturity!r}",
         f"# spot={portfolio.spot!r}",
@@ -630,9 +623,9 @@ def portfolio_to_csv(portfolio: HedgePortfolio, path):
 
 def portfolio_from_csv(path) -> HedgePortfolio:
     """Inverse of ``portfolio_to_csv``.  A missing, non-numeric or
-    non-finite number, a strike, maturity or spot <= 0, or a target kind
-    other than call or put raises ``SpanningError`` naming the file and
-    the row or header field."""
+    non-finite number, a strike, maturity or spot <= 0, or a
+    ``target_kind`` other than call raises ``SpanningError`` naming the file
+    and the row or header field."""
     meta = {}
     legs = []
     with open(path) as fh:
@@ -670,16 +663,11 @@ def portfolio_from_csv(path) -> HedgePortfolio:
         return value
 
     kind = meta.get("target_kind", "call")
-    if kind not in ("call", "put"):
+    if kind != "call":
         raise SpanningError(f"portfolio file {path}: header field target_kind={kind!r} "
-                            "must be 'call' or 'put'")
-    target = OptionRef(
-        strike=header("target_strike"),
-        maturity=header("target_maturity"),
-        kind=kind,
-    )
+                            "must be 'call'")
     return HedgePortfolio(
-        target=target,
+        target=OptionRef(header("target_strike"), header("target_maturity")),
         spot=header("spot"),
         legs=tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike))),
         b0=header("b0", positive=False),

@@ -380,6 +380,13 @@ def test_non_finite_time_is_domain_error_naming_it(request, model_name, fn, t_na
         fn(request.getfixturevalue(model_name), SPOT, times[0], STRIKE, times[1])
 
 
+def test_option_ref_is_a_call_and_takes_no_kind():
+    with pytest.raises(TypeError):
+        OptionRef(100.0, 1.0, "put")
+    with pytest.raises(TypeError):
+        OptionRef(strike=100.0, maturity=1.0, kind="call")
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         BsParams(r=0.06, delta_yield=0.0, sigma=0.0)
@@ -387,10 +394,12 @@ def test_parameter_validation():
         MjdParams(r=0.06, delta_yield=0.0, sigma=0.2, lam=-1.0, mu_j=0.0, sigma_j=0.1)
     with pytest.raises(DomainError):
         MjdParams(r=0.06, delta_yield=0.0, sigma=0.2, lam=1.0, mu_j=0.0, sigma_j=0.0)
+    with pytest.raises(DomainError, match=r"^sigma must be > 0, got 0\.0$"):
+        MjdParams(r=0.06, delta_yield=0.0, sigma=0.0, lam=1.0, mu_j=0.0, sigma_j=0.1)
     with pytest.raises(DomainError):
         OptionRef(strike=-5.0, maturity=1.0)
-    with pytest.raises(DomainError):
-        OptionRef(strike=100.0, maturity=1.0, kind="straddle")
+    with pytest.raises(DomainError, match=r"^maturity must be > 0, got 0\.0$"):
+        OptionRef(strike=100.0, maturity=0.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=f"^r must be finite, got {bad!r}$"):
             BsParams(r=bad, delta_yield=0.0, sigma=0.2)

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -243,11 +244,28 @@ def test_hedge_runs_reject_columns_off_the_grid(bs_model, target):
     paths = simulate_paths(bs_model, SimConfig(n_paths=4, seed=2, step=STEP,
                                                horizon=U2_GRID, spot0=SPOT))
     portfolio = _standard_portfolios(bs_model, target)[2]
-    for columns in ([22], [-1]):
-        with pytest.raises(SimulationError, match="outside the grid"):
-            delta_hedge_run(paths, bs_model, target, columns)
-        with pytest.raises(SimulationError, match="outside the grid"):
-            static_hedge_runs(paths, [portfolio], bs_model, columns)
+    not_integer = "is not an integer grid index"
+    for column, fragment in ((22, "is outside the grid"), (-1, "is outside the grid"),
+                             (2.7, not_integer), (20.9, not_integer), (2.0, not_integer),
+                             (True, not_integer), (np.True_, not_integer), ("3", not_integer)):
+        with pytest.raises(SimulationError, match=f"^column {re.escape(repr(column))} {fragment}"):
+            delta_hedge_run(paths, bs_model, target, [column])
+        with pytest.raises(SimulationError, match=fragment):
+            static_hedge_runs(paths, [portfolio], bs_model, [column])
+    # numpy integers are grid indices like ints
+    assert np.array_equal(static_hedge_runs(paths, [portfolio], bs_model, [np.int64(3)])[0],
+                          static_hedge_runs(paths, [portfolio], bs_model, [3])[0])
+
+
+@pytest.mark.parametrize("times, values", [
+    (np.array([0.0]), np.full((3, 1), 100.0)),
+    (np.arange(3) * STEP, np.full((2, 5), 100.0)),
+    (np.arange(3) * STEP, np.full(3, 100.0)),
+    (np.zeros((1, 3)), np.full((2, 1, 3), 100.0)),
+])
+def test_path_set_rejects_mismatched_shapes(times, values):
+    with pytest.raises(SimulationError, match="^paths: need at least 2 grid times"):
+        PathSet(times, values)
 
 
 def _standard_portfolios(model, target):
@@ -492,6 +510,15 @@ def _csv_module_errors(path, times, errors):
         writer.writerow(["path"] + [repr(float(t)) for t in times])
         for idx, row in enumerate(np.asarray(errors)):
             writer.writerow([idx] + [repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (50, 22), (21,), (50, 21, 1)])
+def test_write_errors_csv_rejects_a_matrix_off_its_times(tmp_path, shape):
+    times = np.arange(21) * STEP
+    with pytest.raises(SimulationError, match=r"^errors: need one column per grid time, "
+                                              rf"got shape {re.escape(str(shape))}"):
+        write_errors_csv(tmp_path / "errors.csv", times, np.zeros(shape))
+    assert not (tmp_path / "errors.csv").exists()
 
 
 @pytest.mark.parametrize("n_paths", [1, 12])

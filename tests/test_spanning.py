@@ -15,7 +15,6 @@ from statichedge import (
     SingularMaturityError,
     SpanningError,
     StrikeBand,
-    UndefinedPdlError,
     build_cw_a,
     build_cw_b,
     build_gq1,
@@ -401,9 +400,6 @@ def test_gq_n_band_validation(bs_model, target):
                    [b1, StrikeBand(U1 - 5e-5, 80.0, 120.0)], 4)
     with pytest.raises(SpanningError):
         build_gq1(bs_model, target, SPOT, StrikeBand(MATURITY + 0.1, 80.0, 120.0), 4)
-    put_target = OptionRef(STRIKE, MATURITY, kind="put")
-    with pytest.raises(SpanningError, match="call"):
-        build_gq1(bs_model, put_target, SPOT, b1, 4)
     with pytest.raises(SpanningError, match="^band upper strike must be finite$"):
         StrikeBand(U1, 80.0, math.inf)
     for name in ("DH", "XX"):
@@ -461,8 +457,7 @@ def test_edl_and_pdl():
     assert pdl(-8.9, -8.3) == pytest.approx(6.7, abs=0.05)
     assert pdl(1.25, 1.25) == 0.0
     assert pdl(-1.25, -1.25) == 0.0
-    with pytest.raises(UndefinedPdlError):
-        pdl(0.0, 1.0)
+    assert pdl(0.0, 1.0) is None
 
 
 def test_b0_is_negative_edl(bs_model, target):
@@ -541,7 +536,8 @@ _PORTFOLIO_HEADER = {"target_strike": "100.0", "target_maturity": "1.0", "spot":
     ({"target_strike": "0"}, "0.1,100.0,1.0", "header field target_strike='0'"),
     ({"target_maturity": "x"}, "0.1,100.0,1.0", "header field target_maturity='x'"),
     ({"target_kind": "straddle"}, "0.1,100.0,1.0",
-     "header field target_kind='straddle' must be 'call' or 'put'"),
+     "header field target_kind='straddle' must be 'call'"),
+    ({"target_kind": "put"}, "0.1,100.0,1.0", "header field target_kind='put' must be 'call'"),
 ])
 def test_portfolio_csv_rejects_bad_numbers(tmp_path, header, row, fragment):
     path = tmp_path / "bad.csv"
@@ -550,6 +546,16 @@ def test_portfolio_csv_rejects_bad_numbers(tmp_path, header, row, fragment):
     with pytest.raises(SpanningError, match=f"portfolio file {re.escape(str(path))}: "
                                            f"{re.escape(fragment)}"):
         portfolio_from_csv(path)
+
+
+def test_portfolio_csv_target_kind_header_is_optional(tmp_path):
+    lines = [f"# {key}={value}" for key, value in _PORTFOLIO_HEADER.items()]
+    rows = ["maturity,strike,weight", "0.1,100.0,1.0"]
+    (tmp_path / "bare.csv").write_text("\n".join(lines + rows) + "\n")
+    (tmp_path / "call.csv").write_text("\n".join(["# target_kind=call"] + lines + rows) + "\n")
+    bare = portfolio_from_csv(tmp_path / "bare.csv")
+    assert bare == portfolio_from_csv(tmp_path / "call.csv")
+    assert bare.target == OptionRef(100.0, 1.0)
 
 
 def test_portfolio_csv_missing_header(tmp_path):
