@@ -111,6 +111,9 @@ class SimConfig:
     spot0: float
 
     def __post_init__(self):
+        for name in ("step", "horizon", "spot0"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if self.n_paths < 1:
             raise SimulationError(f"n_paths: must be >= 1, got {self.n_paths!r}")
         if self.seed < 0:
@@ -135,8 +138,9 @@ class SimConfig:
 @dataclass(frozen=True)
 class PathSet:
     """Simulated spot grid: ``times`` of shape (N+1,), ``values`` of shape
-    (n_paths, N+1) with ``values[:, 0] == spot0``.  Any other shapes, or
-    fewer than two grid times, raise ``SimulationError``."""
+    (n_paths, N+1) with ``values[:, 0] == spot0``.  Any other shapes,
+    fewer than two grid times, no path, or paths that start at different
+    spots raise ``SimulationError``."""
 
     times: np.ndarray
     values: np.ndarray
@@ -146,6 +150,9 @@ class PathSet:
             raise SimulationError(f"paths: need at least 2 grid times and an (n_paths, n_times) "
                                   f"value matrix, got times of shape {self.times.shape} and "
                                   f"values of shape {self.values.shape}")
+        if not self.values.shape[0] or np.any(self.values[:, 0] != self.values[0, 0]):
+            raise SimulationError("paths: need at least one path, and every path must "
+                                  "start at the same spot")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -352,11 +359,16 @@ def static_hedge_runs(paths: PathSet, portfolios, model: ModelSpec, columns=None
     ``call_price`` call per maturity, which shares its blocks with
     ``executor`` when one is given; ``spanning._legs_value`` then adds each
     portfolio's live legs to its cash and matured payoffs, in leg order.
+    A portfolio built at another spot than the paths' start raises
+    ``SimulationError``.
     """
     times = paths.times
     # Each leg's expiry grid index, or None for a leg that outlives the horizon.
     expiries = []
     for p in portfolios:
+        if p.spot != paths.values[0, 0]:
+            raise SimulationError(f"{p.method_tag}: portfolio spot {p.spot!r} is not the "
+                                  f"paths' start spot {float(paths.values[0, 0])!r}")
         expiry = _leg_columns(times, p.target, p.maturities)
         expiries.append([expiry.get(leg.maturity) for leg in p.legs])
     n_columns, slots = _column_slots(times, columns)

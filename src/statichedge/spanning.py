@@ -19,13 +19,13 @@ families:
 ``build_sweep`` builds every static hedge of every value of a sweep in
 one pass.  The GQ hedges are nested: ``GQ1`` takes the first level of a
 Legendre recursion, ``GQ2`` its first two and ``GQn`` every level.  The
-excluded mass a level carries down depends on the model and the bands but
-not on the order, and a Hermite ladder on the maturity and the order but
-not on the band, so each is computed once per call and shared by every
-method and value that needs it.  One ``call_marks`` pass per distinct
-model then marks the target and every leg at inception.
-``build_portfolios`` is its one-value call, and the five public builders
-are one-method calls of that.
+excluded mass a level carries down depends on the model and the band
+prefix above it but not on the order, and a Hermite ladder on the maturity
+and the order but not on the band, so each is computed once per call,
+keyed by what it reads, and shared by every method and value that needs
+it.  One ``call_marks`` pass per distinct model then marks the target and
+every leg at inception.  ``build_portfolios`` is its one-value call, and
+the five public builders are one-method calls of that.
 
 Every portfolio records ``b0``, the signed cash residual that makes the
 package worth exactly the target at inception (invested at the risk-free
@@ -34,6 +34,7 @@ diagnostic, reported as hedge value minus target value.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -308,83 +309,6 @@ def _cw_a_legs(model, target, band, ladder):
     return [HedgeLeg(k, u, w) for k, w in pairs]
 
 
-class _Shared:
-    """The work the cases of one ``build_sweep`` call share, each piece
-    computed on first use and keyed by the frozen model and band
-    dataclasses:
-
-    * the excluded mass carried into level ``i`` of the Legendre recursion,
-      by ``(model, bands[:i])``: it never reads the order;
-    * the legs of level ``i`` at order ``n``, by ``(model, bands[:i + 1], n)``;
-    * the Hermite ladder of order ``n`` at maturity ``u``, by ``(model, u, n)``;
-    * each method's sorted legs, by the method, the model, the bands it
-      uses and its order (none for ``CW_a``, which picks its own).
-
-    A failure leaves the call, so only finished work is ever reused, and
-    the first failure is the one building each case on its own meets.
-    """
-
-    def __init__(self, target, cfg):
-        self.target, self.cfg = target, cfg
-        self.carries, self.levels, self.ladders, self.methods = {}, {}, {}, {}
-
-    @staticmethod
-    def _get(store, key, compute):
-        if key not in store:
-            store[key] = compute()
-        return store[key]
-
-    def ladder(self, model, u, n):
-        return self._get(self.ladders, (model, u, n), lambda: hermite_strike_map(
-            model, self.target.strike, self.target.maturity, u, n))
-
-    def carry(self, model, bands, i):
-        """The carry into level ``i``: None at level 0, where the weight is
-        the target's gamma."""
-        if i == 0:
-            return None
-        return self._get(self.carries, (model, bands[:i]), lambda: _excluded_mass(
-            model, self.target, bands[i - 1], self.cfg, self.carry(model, bands, i - 1)))
-
-    def level(self, model, bands, i, n):
-        def compute():
-            carry = self.carry(model, bands, i)
-            band = bands[i]
-            rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
-            wt = _level_weight(model, self.target, rule.nodes, band.maturity, carry)
-            return [HedgeLeg(k, band.maturity, w)
-                    for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())]
-        return self._get(self.levels, (model, bands[:i + 1], n), compute)
-
-    def method_legs(self, model, bands, name, n):
-        """Legs of static method ``name`` on the tuple ``bands``, sorted by
-        (maturity, strike)."""
-        depth = check_method(name, n, bands)
-        check_band_order(bands[:depth], self.target)
-
-        def compute():
-            if name == "CW_a":
-                legs = _cw_a_legs(model, self.target, bands[0], self.ladder)
-            elif name == "CW_b":
-                # the rungs of the order-n ladder inside the band
-                legs = [HedgeLeg(k, bands[0].maturity, w)
-                        for k, w in self.ladder(model, bands[0].maturity, n)
-                        if bands[0].contains(k)]
-            else:
-                legs = [leg for i in range(depth) for leg in self.level(model, bands, i, n)]
-            return tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
-
-        key = (name, model, bands[:depth], None if name == "CW_a" else n)
-        legs = self._get(self.methods, key, compute)
-        if name == "CW_b" and not legs:  # warns for every case, naming the builder's caller
-            warnings.warn(
-                f"all {n} hermite strikes fall outside [{bands[0].lo}, {bands[0].hi}]; "
-                "portfolio is pure cash",
-                stacklevel=_outside_stacklevel(),
-            )
-        return legs
-
-
 def _inception_pairs(target, method_legs):
     """Each method's (strike, maturity) pairs, its legs then the target."""
     for legs in method_legs:
@@ -435,30 +359,75 @@ def build_sweep(
     GQ hedges are nested: the ``GQ2`` legs are the ``GQ1`` legs plus a
     second level, and the mass a level carries down never depends on the
     order.  So each carry, each GQ level, each Hermite ladder and each
-    ``CW_a`` ladder is computed once for the whole call (see ``_Shared``);
-    ``cfg`` sizes the excluded-region rules of levels past the first.  Then
-    one ``call_marks`` pass per distinct model marks the target and every
-    leg at inception, and each ``b0`` is the target mark minus the weighted
-    leg marks summed in leg order.  Nothing outlives the call.
+    method's legs is computed once for the whole call, by the cached
+    closures below, each keyed by the frozen model, the band prefix and the
+    order it reads; ``cfg`` sizes the excluded-region rules of levels past
+    the first.  Then one ``call_marks`` pass per distinct model marks the
+    target and every leg at inception, and each ``b0`` is the target mark
+    minus the weighted leg marks summed in leg order.  Nothing outlives the
+    call, and a failure caches nothing, so only finished work is reused.
 
     Cases are built in order, and each case's methods in the order of its
     ``orders``; the first one that fails raises, unless the inception
     pricing of an earlier case or method fails, which comes first.
     """
-    shared = _Shared(target, cfg)
+
+    @functools.cache
+    def ladder(model, u, n):
+        return hermite_strike_map(model, target.strike, target.maturity, u, n)
+
+    @functools.cache
+    def carry(model, bands):
+        """The excluded mass carried past the last of ``bands``: None for
+        no band, where the level weight is the target's gamma."""
+        if not bands:
+            return None
+        return _excluded_mass(model, target, bands[-1], cfg, carry(model, bands[:-1]))
+
+    @functools.cache
+    def level(model, bands, n):
+        """The order-``n`` Legendre legs of the last of ``bands``."""
+        into, band = carry(model, bands[:-1]), bands[-1]
+        rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
+        wt = _level_weight(model, target, rule.nodes, band.maturity, into)
+        return [HedgeLeg(k, band.maturity, w)
+                for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())]
+
+    @functools.cache
+    def method_legs(name, model, bands, n):
+        """Legs of static method ``name`` on the ``bands`` it hedges with,
+        sorted by (maturity, strike)."""
+        if name == "CW_a":
+            legs = _cw_a_legs(model, target, bands[0], ladder)
+        elif name == "CW_b":
+            # the rungs of the order-n ladder inside the band
+            legs = [HedgeLeg(k, bands[0].maturity, w)
+                    for k, w in ladder(model, bands[0].maturity, n) if bands[0].contains(k)]
+        else:
+            legs = [leg for depth in range(1, len(bands) + 1)
+                    for leg in level(model, bands[:depth], n)]
+        return tuple(sorted(legs, key=lambda leg: (leg.maturity, leg.strike)))
+
     built = []
     try:
         for model, bands, orders in cases:
             bands, legs = tuple(bands), {}
             built.append((model, legs))
             for name, n in orders.items():
-                legs[name] = shared.method_legs(model, bands, name, n)
+                depth = check_method(name, n, bands)
+                check_band_order(bands[:depth], target)
+                legs[name] = method_legs(name, model, bands[:depth], None if name == "CW_a" else n)
+                if name == "CW_b" and not legs[name]:  # for every case, naming the caller
+                    warnings.warn(f"all {n} hermite strikes fall outside "
+                                  f"[{bands[0].lo}, {bands[0].hi}]; portfolio is pure cash",
+                                  stacklevel=_outside_stacklevel())
     finally:
+        carry = None  # the one self-referencing cache: freed on return, not by the cycle collector
         # Also after a failed build: a pricing error of an earlier case or
         # method comes first, as when each case was priced after its build.
         marks = _inception_marks(S, target, built)
-    return [{name: _priced(target, S, name, method_legs, marks[model])
-             for name, method_legs in legs.items()} for model, legs in built]
+    return [{name: _priced(target, S, name, hedge, marks[model])
+             for name, hedge in legs.items()} for model, legs in built]
 
 
 def build_portfolios(

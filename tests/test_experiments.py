@@ -789,6 +789,27 @@ def test_sweep_computes_each_carry_once_per_run(monkeypatch):
     assert n_prices == len(_MIX_BANDS) + 1
 
 
+def test_sweep_keys_each_carry_by_the_band_prefix_it_reads(monkeypatch):
+    carries = _record_calls(monkeypatch, spanning, "_excluded_mass")
+    methods = [{"name": name, "n": 6} for name in ("GQ1", "GQ2", "GQn")]
+    # a u2 sweep: the carry past the first band serves every value, and the
+    # carry past the first two serves each distinct second band once
+    data = _base_config(model=dict(_MJD), bands=_MIX_BANDS[:3], methods=methods,
+                        sweep={"variable": "u2", "values": [0.2, 0.18, 0.2]})
+    (n_carries,) = _run_counts(parse_config(data), [carries])
+    assert n_carries == 3
+    assert [args[2].maturity for args in carries[:n_carries]] == [0.3, 0.2, 0.18]
+    assert [args[4] is None for args in carries[:n_carries]] == [True, False, False]
+    # a band sweep that moves only the last band: the carries into levels 1
+    # and 2 are computed once
+    carries.clear()
+    fixed = [{"lo": band["lo"], "hi": band["hi"]} for band in _MIX_BANDS[:2]]
+    data["sweep"] = {"variable": "band", "values": [
+        [*fixed, {"lo": lo, "hi": hi}] for lo, hi in ((55.0, 140.0), (60.0, 130.0), (50.0, 150.0))]}
+    (n_carries,) = _run_counts(parse_config(data), [carries])
+    assert [args[2].maturity for args in carries[:n_carries]] == [0.3, 0.2]
+
+
 def test_cw_a_weights_one_ladder_per_distinct_band(monkeypatch):
     gammas = _record_calls(monkeypatch, spanning, "strike_gamma_weight")
     data = _base_config(model=dict(_MJD), bands=_MIX_BANDS[:1], methods=[{"name": "CW_a"}],

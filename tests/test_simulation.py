@@ -53,6 +53,15 @@ def test_sim_config_validation():
     assert cfg.n_steps == 40
 
 
+@pytest.mark.parametrize("field", ["step", "horizon", "spot0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sim_config_rejects_non_finite_fields(field, value):
+    fields = {"n_paths": 10, "seed": 1, "step": 0.01, "horizon": 0.1, "spot0": 100.0,
+              field: value}
+    with pytest.raises(SimulationError, match=f"^{field}: must be finite, got {value!r}$"):
+        SimConfig(**fields)
+
+
 def test_grid_index_is_one_rule_with_one_tolerance():
     assert simulation.grid_index("t", 21 / 252, 1 / 252) == 21
     assert simulation.grid_index("t", 0.1 + 5e-10, 0.01) == 10
@@ -266,6 +275,27 @@ def test_hedge_runs_reject_columns_off_the_grid(bs_model, target):
 def test_path_set_rejects_mismatched_shapes(times, values):
     with pytest.raises(SimulationError, match="^paths: need at least 2 grid times"):
         PathSet(times, values)
+
+
+@pytest.mark.parametrize("values", [
+    np.empty((0, 3)),
+    np.array([[100.0, 101.0, 99.0], [80.0, 81.0, 79.0]]),
+    np.array([[math.nan, 1.0, 1.0]]),
+])
+def test_path_set_rejects_paths_that_start_apart(values):
+    with pytest.raises(SimulationError, match="^paths: need at least one path, and every path "
+                                              "must start at the same spot$"):
+        PathSet(np.arange(3) * STEP, values)
+
+
+def test_static_hedge_runs_reject_a_portfolio_built_at_another_spot(bs_model, target):
+    paths = simulate_paths(bs_model, SimConfig(n_paths=4, seed=2, step=STEP,
+                                               horizon=U2_GRID, spot0=SPOT))
+    portfolio = build_gq1(bs_model, target, 80.0, StrikeBand(U1_GRID, 80.0, 120.0), 8)
+    with pytest.raises(SimulationError, match=r"^GQ1: portfolio spot 80\.0 is not the paths' "
+                                              rf"start spot {SPOT!r}$"):
+        static_hedge_runs(paths, [_standard_portfolios(bs_model, target)[2], portfolio],
+                          bs_model)
 
 
 def _standard_portfolios(model, target):
