@@ -63,7 +63,6 @@ from .spanning import (
     build_gq1,
     build_gq2,
     build_gq_n,
-    build_portfolios,
     build_sweep,
     edl,
     hermite_strike_map,

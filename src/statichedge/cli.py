@@ -6,7 +6,8 @@ the hedge leg tables), ``sweep`` (full report over the sweep values),
 error matrices), and ``pfe`` (per-time exposure percentile series).  Each
 subcommand accepts only the flags it reads.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an ``--out`` that cannot be
+made a directory included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -17,18 +18,11 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import ConfigError, NumericalError
-from .experiments import (
-    _build_contexts,
-    _write_csv,
-    _write_json,
-    emit,
-    load_config,
-    run_experiment,
-    simulate_methods,
-)
+from .experiments import (_write_csv, _write_json, emit, load_config, run_experiment,
+                          simulate_methods)
 from .models import call_price
 from .simulation import pfe_curves, write_errors_csv
-from .spanning import leg_table, portfolio_to_csv
+from .spanning import build_sweep, leg_table, portfolio_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,24 +78,22 @@ def _apply_seed(cfg, seed):
         raise ConfigError(f"--seed: must be >= 0, got {seed}")
     if seed is None or cfg.simulation is None:
         return cfg
-    return replace(cfg, simulation=replace(cfg.simulation, seed=seed))
+    seeded = replace(cfg, simulation=replace(cfg.simulation, seed=seed))
+    vars(seeded)["resolved"] = cfg.resolved  # the seed changes no sweep value
+    return seeded
 
 
 def _cmd_price(cfg, args):
     value = call_price(cfg.model, cfg.spot, 0.0, cfg.target.strike, cfg.target.maturity)
     print(f"target_price={value!r}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "price.json", {"target_price": value})
+        _write_json(Path(args.out) / "price.json", {"target_price": value})
     return EXIT_OK
 
 
 def _cmd_build(cfg, args):
-    ((_, _, portfolios),) = _build_contexts(cfg, cfg.resolved[:1])
+    (portfolios,) = build_sweep(cfg.target, cfg.spot, cfg.resolved[:1], cfg.modified_weight)
     out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
     for portfolio in portfolios.values():
         print(f"[{portfolio.method_tag}] legs={len(portfolio.legs)} "
               f"b0={portfolio.b0!r} edl={-portfolio.b0!r}")
@@ -126,7 +118,8 @@ def _require_simulation(cfg):
 
 def _first_value_errors(cfg, threads=None):
     """Error matrices of the first sweep value at every grid time."""
-    return simulate_methods(cfg, _build_contexts(cfg, cfg.resolved[:1]), threads=threads)[0]
+    built = build_sweep(cfg.target, cfg.spot, cfg.resolved[:1], cfg.modified_weight)
+    return simulate_methods(cfg, built, threads=threads)[0]
 
 
 def _cmd_simulate(cfg, args):
@@ -148,7 +141,6 @@ def _cmd_pfe(cfg, args):
     _require_simulation(cfg)
     errors = _first_value_errors(cfg)
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     curves = {name: pfe_curves(matrix) for name, matrix in errors.items()}
     header = ["time"] + [f"{name}_p{level}" for name, c in curves.items() for level in c]
     columns = [cfg.simulation.times] + [column for c in curves.values() for column in c.values()]
@@ -169,6 +161,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _apply_seed(load_config(args.config), getattr(args, "seed", None))
+        if args.out:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out: cannot create directory {args.out!r} ({exc})") from exc
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -53,12 +53,13 @@ static method hedges with that expires inside the horizon lies on the grid
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +132,13 @@ class ExperimentConfig:
     simulation: SimConfig | None
     checkpoints: tuple[float, ...]
     raw: dict
-    # Each sweep value's ``_resolve`` result, in value order: ``parse_config``
-    # resolves every value once, and ``run_experiment`` builds from these.
-    resolved: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def resolved(self) -> tuple:
+        """Each sweep value's ``_resolve`` result, in value order, derived
+        from this config on first use (``parse_config`` reads it, so a bad
+        value fails there); a ``dataclasses.replace`` copy resolves anew."""
+        return tuple(_resolve(self, value) for value in self.sweep.values)
 
 
 def _coerce(value, path: str, kind):
@@ -299,9 +304,10 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"methods[{i}].n: required unless sweeping quad_points")
         if m.name == "DH" and sim is None:
             raise ConfigError(f"methods[{i}]: DH requires a simulation block")
-    parts = (model, target, spot, tuple(methods), bands, sweep, mw_cfg, sim, checkpoints, data)
-    cfg = ExperimentConfig(*parts)
-    return ExperimentConfig(*parts, tuple(_resolve(cfg, value) for value in sweep.values))
+    cfg = ExperimentConfig(model, target, spot, tuple(methods), bands, sweep, mw_cfg, sim,
+                           checkpoints, data)
+    cfg.resolved  # resolve every sweep value now: a bad one is a parse error
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -399,16 +405,6 @@ def _resolve(cfg: ExperimentConfig, value):
     return model, bands, orders
 
 
-def _build_contexts(cfg: ExperimentConfig, resolved) -> list:
-    """The ``(model, static-method orders, portfolios)`` of each
-    ``_resolve`` result in ``resolved``: one ``build_sweep`` call builds the
-    static portfolios of all of them, sharing the work the values have in
-    common."""
-    built = build_sweep(cfg.target, cfg.spot, resolved, cfg.modified_weight)
-    return [(model, orders, portfolios)
-            for (model, _, orders), portfolios in zip(resolved, built)]
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on (its affinity mask where the
     platform has one, else the CPU count): the default thread count."""
@@ -418,12 +414,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads=None) -> list:
-    """Hedge errors of every method for each resolved sweep value.
+def simulate_methods(cfg: ExperimentConfig, built, columns=None, threads=None) -> list:
+    """Hedge errors of every method for each built sweep value.
 
-    ``contexts`` holds ``_build_contexts`` results.  Returns one ``{method
-    name: (n_paths, len(columns)) error matrix}`` per context, at the grid
-    ``columns`` (default: every grid time of ``cfg.simulation``).
+    ``built`` is the ``build_sweep`` result of the leading values of
+    ``cfg.resolved`` (all of them, or the first), whose models it reads.
+    Returns one ``{method name: (n_paths, len(columns)) error matrix}`` per
+    built value, at the grid ``columns`` (default: every grid time of
+    ``cfg.simulation``).
 
     Values whose resolved models are equal (every value of a band, order,
     ``u1`` or ``u2`` sweep) form one group: one path set, one delta hedge
@@ -440,18 +438,18 @@ def simulate_methods(cfg: ExperimentConfig, contexts, columns=None, threads=None
     threads = _usable_cpus() if threads is None else threads
     has_dh = any(m.name == "DH" for m in cfg.methods)
     groups = {}
-    for index, (model, _, _) in enumerate(contexts):
+    for index, (model, _, _) in enumerate(cfg.resolved[:len(built)]):
         groups.setdefault(model, []).append(index)
-    out = [None] * len(contexts)
+    out = [None] * len(built)
     with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
         for model, indices in groups.items():
             paths = simulate_paths(model, cfg.simulation)
-            portfolios = [p for i in indices for p in contexts[i][2].values()]
+            portfolios = [p for i in indices for p in built[i].values()]
             errors = iter(static_hedge_runs(paths, portfolios, model, columns, pool))
             dh = (delta_hedge_run(paths, model, cfg.target, columns, pool)
                   if has_dh else None)
             for i in indices:
-                static = {name: next(errors) for name in contexts[i][2]}
+                static = {name: next(errors) for name in built[i]}
                 out[i] = {m.name: dh if m.name == "DH" else static[m.name] for m in cfg.methods}
     return out
 
@@ -478,18 +476,17 @@ def run_experiment(cfg: ExperimentConfig, threads=None) -> Report:
     """Evaluate every sweep value; rows keep the config's value order and
     the result is independent of ``threads``.
 
-    The values ``parse_config`` resolved are built in one ``build_sweep``
-    call on the calling thread; ``simulate_methods`` then hedges every
+    The values of ``cfg.resolved`` are built in one ``build_sweep`` call
+    on the calling thread; ``simulate_methods`` then hedges every
     value at the checkpoint columns, pricing on ``threads`` threads
     (default: ``_usable_cpus()``).
     """
-    values = list(cfg.sweep.values)
-    contexts = _build_contexts(cfg, cfg.resolved)
+    built = build_sweep(cfg.target, cfg.spot, cfg.resolved, cfg.modified_weight)
     rows = [_inception_row(cfg, value, orders, portfolios)
-            for value, (_, orders, portfolios) in zip(values, contexts)]
+            for value, (_, _, orders), portfolios in zip(cfg.sweep.values, cfg.resolved, built)]
     if cfg.simulation is not None:
         columns = [grid_index("checkpoints", c, cfg.simulation.step) for c in cfg.checkpoints]
-        for row, errors in zip(rows, simulate_methods(cfg, contexts, columns, threads)):
+        for row, errors in zip(rows, simulate_methods(cfg, built, columns, threads)):
             for name, matrix in errors.items():
                 row.methods.setdefault(name, {})["stats"] = [
                     {"time": c, **summarize(matrix[:, j]).to_dict()}

@@ -24,8 +24,8 @@ prefix above it but not on the order, and a Hermite ladder on the maturity
 and the order but not on the band, so each is computed once per call,
 keyed by what it reads, and shared by every method and value that needs
 it.  One ``call_marks`` pass per distinct model then marks the target and
-every leg at inception.  ``build_portfolios`` is its one-value call, and
-the five public builders are one-method calls of that.
+every leg at inception.  The five public builders are its one-case,
+one-method calls.
 
 Every portfolio records ``b0``, the signed cash residual that makes the
 package worth exactly the target at inception (invested at the risk-free
@@ -64,7 +64,6 @@ __all__ = [
     "build_gq1",
     "build_gq2",
     "build_gq_n",
-    "build_portfolios",
     "build_sweep",
     "modified_weight",
     "portfolio_value",
@@ -82,6 +81,10 @@ MATURITY_GAP = 1e-4
 # Builders recurse over at most this many short maturities; the nested
 # re-spanning cost grows with each level.
 MAX_BANDS = 4
+
+# A first-level band that covers the target's gamma bell out to this many
+# widths either side of its centre gets its nodes on the bell, in log-strike.
+BELL_WIDTHS = 10.0
 
 # Each static method: the leading bands it hedges with (None: all of them,
 # 1 to MAX_BANDS) and the quadrature rule its order ``n`` sizes.  ``CW_a``
@@ -268,6 +271,28 @@ def _level_weight(model, target, x, u, carry):
     return kernel @ prev_vals
 
 
+def _level_rule(model, target, band, n, first):
+    """The strikes and weights of a level's order-``n`` Legendre rule on
+    ``band``.  The first level's weight, the target's gamma, is a bell in
+    log-strike of centre c = ln K - (r - q + V/2)(T - u) and width s =
+    sqrt(V (T - u)), V the ``annualized_variance``; a band that covers
+    [exp(c - L s), exp(c + L s)], L = ``BELL_WIDTHS``, gets its nodes there in
+    log-strike, each weight times its strike (in strike, they would straddle
+    the bell).  Any other band or level keeps the rule in strike."""
+    rule = make_rule(LEGENDRE, n)
+    if first:
+        tau, var = target.maturity - band.maturity, annualized_variance(model)
+        centre = math.log(target.strike) - (model.r - model.delta_yield + 0.5 * var) * tau
+        half = BELL_WIDTHS * math.sqrt(var * tau)
+        # the upper test first: once it holds, exp(centre - half) cannot overflow
+        if centre + half <= math.log(band.hi) and band.lo <= math.exp(centre - half):
+            bell = map_to_interval(rule, centre - half, centre + half)
+            strikes = np.exp(bell.nodes)
+            return strikes, bell.weights * strikes
+    rule = map_to_interval(rule, band.lo, band.hi)
+    return rule.nodes, rule.weights
+
+
 def _excluded_mass(model, target, band, cfg, carry):
     """The carry for the next level: ``band``'s excluded-region nodes, their
     quadrature-weighted spanning weights, and the band maturity."""
@@ -388,10 +413,10 @@ def build_sweep(
     def level(model, bands, n):
         """The order-``n`` Legendre legs of the last of ``bands``."""
         into, band = carry(model, bands[:-1]), bands[-1]
-        rule = map_to_interval(make_rule(LEGENDRE, n), band.lo, band.hi)
-        wt = _level_weight(model, target, rule.nodes, band.maturity, into)
+        strikes, weights = _level_rule(model, target, band, n, into is None)
+        wt = _level_weight(model, target, strikes, band.maturity, into)
         return [HedgeLeg(k, band.maturity, w)
-                for k, w in zip(rule.nodes.tolist(), (rule.weights * wt).tolist())]
+                for k, w in zip(strikes.tolist(), (weights * wt).tolist())]
 
     @functools.cache
     def method_legs(name, model, bands, n):
@@ -430,41 +455,27 @@ def build_sweep(
              for name, hedge in legs.items()} for model, legs in built]
 
 
-def build_portfolios(
-    model: ModelSpec,
-    target: OptionRef,
-    S: float,
-    bands,
-    orders: dict,
-    cfg: ModifiedWeightConfig = ModifiedWeightConfig(),
-) -> dict:
-    """Every static hedge of one target, model and set of bands:
-    ``{method: HedgePortfolio}`` in the order of ``orders``, the one-case
-    call of ``build_sweep``."""
-    return build_sweep(target, S, [(model, bands, orders)], cfg)[0]
-
-
 def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) -> HedgePortfolio:
     """Largest Hermite ladder whose strikes all fit inside the band: the
-    one-method case of ``build_portfolios``.
+    one-case, one-method call of ``build_sweep``.
 
     The order search starts at 1 and stops at the first order with a strike
     outside ``[band.lo, band.hi]``; the previous order wins.
     """
-    return build_portfolios(model, target, S, [band], {"CW_a": None})["CW_a"]
+    return build_sweep(target, S, [(model, [band], {"CW_a": None})])[0]["CW_a"]
 
 
 def build_cw_b(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand, n: int) -> HedgePortfolio:
     """Fixed-order Hermite ladder with out-of-band strikes dropped (warns
-    when none is left): the one-method case of ``build_portfolios``."""
-    return build_portfolios(model, target, S, [band], {"CW_b": n})["CW_b"]
+    when none is left): the one-case, one-method call of ``build_sweep``."""
+    return build_sweep(target, S, [(model, [band], {"CW_b": n})])[0]["CW_b"]
 
 
 def build_gq1(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand, n: int) -> HedgePortfolio:
     """Single-maturity Legendre hedge: leg strikes at the mapped nodes of an
     order-``n`` rule on the band, weighted by the gamma weight there; the
-    one-method case of ``build_portfolios``."""
-    return build_portfolios(model, target, S, [band], {"GQ1": n})["GQ1"]
+    one-case, one-method call of ``build_sweep``."""
+    return build_sweep(target, S, [(model, [band], {"GQ1": n})])[0]["GQ1"]
 
 
 def build_gq2(
@@ -478,8 +489,8 @@ def build_gq2(
 ) -> HedgePortfolio:
     """Two-maturity hedge: band1 legs as in ``build_gq1`` plus band2 legs
     carrying the modified weight that re-spans band1's excluded strike
-    mass; the one-method case of ``build_portfolios``."""
-    return build_portfolios(model, target, S, [band1, band2], {"GQ2": n}, cfg)["GQ2"]
+    mass; the one-case, one-method call of ``build_sweep``."""
+    return build_sweep(target, S, [(model, [band1, band2], {"GQ2": n})], cfg)[0]["GQ2"]
 
 
 def build_gq_n(
@@ -491,13 +502,13 @@ def build_gq_n(
     cfg: ModifiedWeightConfig = ModifiedWeightConfig(),
 ) -> HedgePortfolio:
     """Iterated multi-maturity hedge over strictly decreasing maturities:
-    the one-method case of ``build_portfolios``.
+    the one-case, one-method call of ``build_sweep``.
 
     Each level's weight pushes the previous level's out-of-band mass
     through the inter-maturity gamma kernel; with one band this reduces to
     ``build_gq1`` and with two it reproduces ``build_gq2`` exactly.
     """
-    return build_portfolios(model, target, S, bands, {"GQn": n}, cfg)["GQn"]
+    return build_sweep(target, S, [(model, bands, {"GQn": n})], cfg)[0]["GQn"]
 
 
 def modified_weight(

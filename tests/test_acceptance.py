@@ -1,10 +1,6 @@
 """Acceptance suite: every reference number the library must reproduce,
 checked at its stated tolerance.  Each test prints one PASS/FAIL line
 (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
-
-One check is knowingly red: the wide-band spanning limit at 120 nodes
-(see ``test_criterion_9_wide_band_spanning_limit``); its docstring carries
-the resolution analysis.
 """
 import json
 import math
@@ -308,15 +304,16 @@ def test_criterion_9_jumpless_model_degenerates(bs_model):
 
 
 def test_criterion_9_wide_band_spanning_limit(target):
-    """Wide-band spanning limit: (knowingly red at the stated node count).
+    """Wide-band spanning limit at 120 nodes on [K/100, 100 K].
 
-    A 120-node Legendre rule on [K/100, 100 K] cannot resolve the gamma
-    bell: near the strike the node spacing is about pi * sqrt((K - lo) *
-    (hi - K)) / n ~ 26 strike units, while the bell's standard deviation is
-    K * sigma * sqrt(T - u1) (3 to 47 units over the tested box).  Measured
-    |edl| ranges from ~7e-4 (best corner) to ~3, far above the 1e-5 bound;
-    ~1200 nodes would be needed.  Kept at the stated parameters so the gap
-    stays visible rather than hidden behind a looser tolerance.
+    Spread evenly in strike, 120 Legendre nodes on this band cannot resolve
+    the gamma bell: near the strike they lie about pi * sqrt((K - lo) *
+    (hi - K)) / n ~ 26 strike units apart, while the bell's standard
+    deviation is K * sigma * sqrt(T - u1) (3 to 47 units over the tested
+    box), and |edl| reached ~3.  The band covers the bell out to
+    ``spanning.BELL_WIDTHS`` widths, so the first level puts its nodes on
+    that support in log-strike, where the bell is a normal density, and
+    |edl| stays below the 1e-5 bound at the stated parameters.
     """
     from statichedge import BsParams
 

@@ -136,9 +136,9 @@ def test_error_matrix_rerun_uses_the_thread_count(tmp_path, monkeypatch, command
 
     original, seen = experiments.simulate_methods, []
 
-    def recording(cfg, contexts, columns=None, threads=None):
+    def recording(cfg, built, columns=None, threads=None):
         seen.append(threads)
-        return original(cfg, contexts, columns, threads)
+        return original(cfg, built, columns, threads)
 
     monkeypatch.setattr(experiments, "simulate_methods", recording)
     monkeypatch.setattr(cli, "simulate_methods", recording)
@@ -206,6 +206,24 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, write):
     write(path)
     assert main(["price", "--config", str(path)]) == 2
     assert f"config error: {path}: cannot read config file" in capsys.readouterr().err
+
+
+# an existing file, and a directory below one
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command, flags", [
+    ("price", []), ("build", []), ("sweep", []), ("simulate", []),
+    ("simulate", ["--errors"]), ("pfe", []),
+])
+def test_unusable_out_is_config_error_before_the_command_runs(tmp_path, capsys, monkeypatch,
+                                                              command, flags, below):
+    monkeypatch.setattr(cli, "_COMMANDS", {})  # running the command fails the test
+    cfg = _write_config(tmp_path, _small_sim_config())
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "x" if below else blocker
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out")
+    assert blocker.read_text() == "a file\n"
 
 
 def _extra_sweep_value(name, value):

@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -224,10 +225,10 @@ def test_band_sweep_rows_carry_pdl():
 
 
 def test_zero_gq1_edl_leaves_the_pdl_cell_empty(tmp_path):
-    from dataclasses import replace
-
     cfg = load_config(CONFIG_DIR / "table2.cfg")
-    ((_, orders, portfolios),) = experiments._build_contexts(cfg, cfg.resolved[:1])
+    (portfolios,) = spanning.build_sweep(cfg.target, cfg.spot, cfg.resolved[:1],
+                                         cfg.modified_weight)
+    orders = cfg.resolved[0][2]
     portfolios["GQ1"] = replace(portfolios["GQ1"], b0=0.0)
     row = experiments._inception_row(cfg, cfg.sweep.values[0], orders, portfolios)
     assert row.methods["GQ1"]["edl"] == 0.0 and row.methods["GQ2"]["edl"] != 0.0
@@ -429,17 +430,19 @@ def test_grouped_simulation_matches_per_value_runs_at_any_thread_count(monkeypat
         assert (_pool_blocks(blocks) >= 2) == (t > 1)
     assert len(blobs) == 1
     # Two model groups plus DH: pricing on the pool leaves every matrix bitwise equal.
-    contexts = experiments._build_contexts(cfg, cfg.resolved)
-    runs = [experiments.simulate_methods(cfg, contexts, threads=t) for t in (1, 2, 4)]
-    assert len({model for model, _, _ in contexts}) == 2
+    built = spanning.build_sweep(cfg.target, cfg.spot, cfg.resolved, cfg.modified_weight)
+    runs = [experiments.simulate_methods(cfg, built, threads=t) for t in (1, 2, 4)]
+    assert len({model for model, _, _ in cfg.resolved}) == 2
     for run in runs[1:]:
         for errors, expected in zip(run, runs[0]):
             assert list(errors) == ["DH", "CW_b", "GQ1"]
             assert all(errors[name].tobytes() == expected[name].tobytes() for name in errors)
     report = json.loads(blobs.pop())
     columns = [round(c / cfg.simulation.step) for c in cfg.checkpoints]
-    for resolved, row in zip(cfg.resolved, report["rows"]):
-        (errors,) = experiments.simulate_methods(cfg, experiments._build_contexts(cfg, [resolved]))
+    for value, row in zip(cfg.sweep.values, report["rows"]):
+        alone = replace(cfg, sweep=replace(cfg.sweep, values=(value,)))
+        (errors,) = experiments.simulate_methods(alone, spanning.build_sweep(
+            alone.target, alone.spot, alone.resolved, alone.modified_weight))
         stats = {name: [{"time": c, **summarize(err[:, j]).to_dict()}
                         for c, j in zip(cfg.checkpoints, columns)]
                  for name, err in errors.items()}
@@ -479,6 +482,34 @@ def test_sweep_op_resolves_each_value_once(monkeypatch, tmp_path):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
                  "--seed", "3"]) == 0
     assert [args[1] for args in resolved] == [0.1587, 0.12, 0.1587]
+
+
+def _rows(report):
+    return [row.to_dict() for row in report.rows]
+
+
+def test_replaced_bands_are_the_ones_built():
+    cfg = load_config(CONFIG_DIR / "table1.cfg")
+    narrow = replace(cfg, bands=(spanning.StrikeBand(0.1587, 90.0, 110.0),))
+    data = json.loads((CONFIG_DIR / "table1.cfg").read_text())
+    data["bands"] = [{"maturity": 0.1587, "lo": 90.0, "hi": 110.0}]
+    assert _rows(run_experiment(narrow)) == _rows(run_experiment(parse_config(data)))
+    assert _rows(run_experiment(narrow)) != _rows(run_experiment(cfg))
+
+
+def test_replaced_sweep_values_are_the_ones_reported():
+    cfg = load_config(CONFIG_DIR / "table1.cfg")
+    (row,) = run_experiment(replace(cfg, sweep=replace(cfg.sweep, values=(4,)))).rows
+    assert row.sweep_value == 4
+    assert row.methods["GQ1"]["legs"] == row.methods["GQ1"]["n"] == 4
+
+
+def test_hand_built_config_runs_like_the_parsed_one():
+    cfg = load_config(CONFIG_DIR / "table1.cfg")
+    hand = experiments.ExperimentConfig(cfg.model, cfg.target, cfg.spot, cfg.methods, cfg.bands,
+                                        cfg.sweep, cfg.modified_weight, cfg.simulation,
+                                        cfg.checkpoints, cfg.raw)
+    assert _rows(run_experiment(hand)) == _rows(run_experiment(cfg))
 
 
 def test_sweep_values_build_on_the_calling_thread(monkeypatch):
@@ -555,12 +586,13 @@ def test_config_and_builder_reject_the_same_methods(name, n_bands, order):
     target = models.OptionRef(strike=100.0, maturity=1.0)
     bands = [spanning.StrikeBand(**band) for band in data["bands"]]
     try:
-        built = spanning.build_portfolios(model, target, 100.0, bands, {name: n})
+        (built,) = spanning.build_sweep(target, 100.0, [(model, bands, {name: n})])
     except spanning.SpanningError as exc:
         build_error = str(exc)
     assert config_error == build_error
     if build_error is None:  # the config builds the same portfolio
-        ((_, _, portfolios),) = experiments._build_contexts(cfg, cfg.resolved)
+        (portfolios,) = spanning.build_sweep(cfg.target, cfg.spot, cfg.resolved,
+                                             cfg.modified_weight)
         assert repr(portfolios) == repr(built)
 
 
@@ -573,7 +605,8 @@ def test_method_table_builds_what_the_builders_build():
     data["bands"].append({"maturity": 0.0833, "lo": 60.0, "hi": 130.0})
     data["modified_weight"] = {"n_inner_gq": 4, "n_laguerre": 12}
     cfg = parse_config(data)
-    ((_, _, portfolios),) = experiments._build_contexts(cfg, [experiments._resolve(cfg, 7)])
+    (portfolios,) = spanning.build_sweep(cfg.target, cfg.spot, [experiments._resolve(cfg, 7)],
+                                         cfg.modified_weight)
     b1, b2 = cfg.bands
     args = (cfg.model, cfg.target, cfg.spot)
     direct = {
@@ -615,7 +648,7 @@ def test_one_pass_build_is_bitwise_the_public_builders(model, n_bands, gq_orders
     if mw is not None:
         data["modified_weight"] = mw
     cfg = parse_config(data)
-    ((_, _, portfolios),) = experiments._build_contexts(cfg, cfg.resolved)
+    (portfolios,) = spanning.build_sweep(cfg.target, cfg.spot, cfg.resolved, cfg.modified_weight)
     bands = list(cfg.bands)
     args = (cfg.model, cfg.target, cfg.spot)
     n1, n2, n_n = gq_orders
@@ -648,7 +681,8 @@ def test_one_pass_build_prices_each_maturity_once_and_keeps_nothing(monkeypatch)
     gammas = _record_calls(monkeypatch, spanning, "strike_gamma_weight")
     cfg = load_config(CONFIG_DIR / "table7.cfg")
     assert [m.name for m in cfg.methods] == ["CW_a", "CW_b", "GQ1", "GQ2"]
-    ((_, _, portfolios),) = experiments._build_contexts(cfg, cfg.resolved[:1])
+    (portfolios,) = spanning.build_sweep(cfg.target, cfg.spot, cfg.resolved[:1],
+                                         cfg.modified_weight)
     maturities = {leg.maturity for p in portfolios.values() for leg in p.legs}
     # inception: one call_price call per distinct maturity, the target's included
     assert len(prices) == len(maturities | {cfg.target.maturity}) == 3
@@ -744,13 +778,14 @@ def _unshared_portfolio(model, target, S, bands, name, n, cfg):
 @pytest.mark.filterwarnings("ignore:all .* hermite strikes fall outside")
 def test_sweep_build_is_bitwise_the_per_value_builds():
     for name, cfg in _sweep_configs():
-        contexts = experiments._build_contexts(cfg, cfg.resolved)
-        for value, (model, orders, portfolios) in zip(cfg.sweep.values, contexts):
-            _, bands, _ = experiments._resolve(cfg, value)
+        built = spanning.build_sweep(cfg.target, cfg.spot, cfg.resolved, cfg.modified_weight)
+        for value, (model, bands, orders), portfolios in zip(cfg.sweep.values, cfg.resolved,
+                                                             built):
             static = {m.name: orders[m.name] for m in cfg.methods
                       if m.name in spanning.STATIC_METHODS}
             args = (model, cfg.target, cfg.spot)
-            alone = spanning.build_portfolios(*args, bands, static, cfg.modified_weight)
+            (alone,) = spanning.build_sweep(cfg.target, cfg.spot, [(model, bands, static)],
+                                            cfg.modified_weight)
             single = {method: _ONE_METHOD[method](args, bands, n, cfg.modified_weight)
                       for method, n in static.items()}
             unshared = {method: _unshared_portfolio(*args, bands, method, n, cfg.modified_weight)

@@ -9,6 +9,7 @@ from statichedge import (
     BsParams,
     DomainError,
     HedgePortfolio,
+    MjdParams,
     ModifiedWeightConfig,
     OptionRef,
     SeriesError,
@@ -20,7 +21,6 @@ from statichedge import (
     build_gq1,
     build_gq2,
     build_gq_n,
-    build_portfolios,
     build_sweep,
     call_price,
     edl,
@@ -155,7 +155,7 @@ def test_cw_b_warning_names_the_caller_of_the_public_builder(bs_model, target):
     band = StrikeBand(U1, 200.0, 210.0)
     with pytest.warns(UserWarning, match="pure cash") as record:
         build_cw_b(bs_model, target, SPOT, band, 3)
-        build_portfolios(bs_model, target, SPOT, [band], {"CW_b": 3})
+        build_sweep(target, SPOT, [(bs_model, [band], {"CW_b": 3})])
         # once per CW_b build of each case, the shared ladder notwithstanding
         build_sweep(target, SPOT, [(bs_model, [band], {"CW_b": 3})] * 2)
     assert [w.filename for w in record] == [__file__] * 4
@@ -223,6 +223,49 @@ def test_gq1_quadrature_count_stability(bs_model, target):
         a = portfolio_edl(build_gq1(bs_model, target, SPOT, band, n))
         b = portfolio_edl(build_gq1(bs_model, target, SPOT, band, 2 * n))
         assert abs(a - b) < 1e-3
+
+
+def _strikes_and_weights(legs):
+    return [leg.strike for leg in legs], [leg.weight for leg in legs]
+
+
+def test_only_a_first_level_band_that_covers_the_bell_takes_log_strike_nodes(bs_model, target):
+    from statichedge.quadrature import LEGENDRE
+    from statichedge.spanning import BELL_WIDTHS
+
+    tau, var = MATURITY - U1, bs_model.sigma ** 2
+    centre = math.log(STRIKE) - (bs_model.r - bs_model.delta_yield + var / 2) * tau
+    half = BELL_WIDTHS * math.sqrt(var * tau)
+    lo, hi = math.exp(centre - half), math.exp(centre + half)
+
+    def gamma(strikes, u=U1):
+        return strike_gamma_weight(bs_model, strikes, u, STRIKE, MATURITY)
+
+    bell = map_to_interval(make_rule(LEGENDRE, 12), centre - half, centre + half)
+    strikes = np.exp(bell.nodes)
+    covering = StrikeBand(U1, 0.99 * lo, 1.01 * hi)
+    assert _strikes_and_weights(build_gq1(bs_model, target, SPOT, covering, 12).legs) == (
+        strikes.tolist(), (bell.weights * strikes * gamma(strikes)).tolist())
+    # a band that misses one side of the bell keeps the rule in strike
+    for band in (StrikeBand(U1, 1.01 * lo, 1.01 * hi), StrikeBand(U1, 0.99 * lo, 0.99 * hi)):
+        rule = map_to_interval(make_rule(LEGENDRE, 12), band.lo, band.hi)
+        assert _strikes_and_weights(build_gq1(bs_model, target, SPOT, band, 12).legs) == (
+            rule.nodes.tolist(), (rule.weights * gamma(rule.nodes)).tolist())
+    # so does a deeper level: GQ2's second band is ruled in strike however wide
+    second = StrikeBand(U2, 0.5 * lo, 2.0 * hi)
+    legs = build_gq2(bs_model, target, SPOT, covering, second, 12).legs
+    rule = map_to_interval(make_rule(LEGENDRE, 12), second.lo, second.hi)
+    assert [leg.strike for leg in legs if leg.maturity == U2] == rule.nodes.tolist()
+
+
+def test_gq1_wide_band_mjd_resolves_the_bell(target):
+    # lambda = 2 and 120 nodes on [1, 10000]: in strike the worst |edl| is ~6
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        model = MjdParams(r=0.06, delta_yield=0.02, sigma=rng.uniform(0.1, 0.5),
+                          lam=2.0, mu_j=-0.1, sigma_j=0.13, mu=0.1)
+        band = StrikeBand(MATURITY - rng.uniform(0.1, 0.9), 1.0, 10000.0)
+        assert abs(portfolio_edl(build_gq1(model, target, SPOT, band, 120))) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +447,7 @@ def test_gq_n_band_validation(bs_model, target):
         StrikeBand(U1, 80.0, math.inf)
     for name in ("DH", "XX"):
         with pytest.raises(SpanningError, match=f"^unknown static method '{name}'$"):
-            build_portfolios(bs_model, target, SPOT, [b1], {name: 4})
+            build_sweep(target, SPOT, [(bs_model, [b1], {name: 4})])
 
 
 # ---------------------------------------------------------------------------
