@@ -19,20 +19,24 @@ Config schema::
 
     {
       "model":   {"type": "bs"|"mjd", "r": .., "delta_yield": .., "sigma": ..,
-                  "mu": .., ["lam": .., "mu_j": .., "sigma_j": ..]},
+                  ["mu": ..], ["lam": .., "mu_j": .., "sigma_j": ..]},
       "target":  {"strike": .., "maturity": .., "spot": .., ["kind": "call"]},
       "methods": [{"name": "CW_a"|"CW_b"|"GQ1"|"GQ2"|"GQn"|"DH", ["n": ..]}, ...],
       "bands":   [{"maturity": .., "lo": .., "hi": ..}, ...],   # descending maturity
       "sweep":   {"variable": "quad_points"|"band"|"u1"|"u2"|"lambda"|"mu_j"|"sigma_j",
                   "values": [..], ["hold_variance": ..]},
-      ["modified_weight": {"n_inner_gq": 5, "n_laguerre": 20}],
-      ["simulation": {"n_paths": .. (>= 2), "seed": .. (>= 0), "step": .. (> 0),
+      ["modified_weight": {["n_inner_gq": ..], ["n_laguerre": ..]}],
+      ["simulation": {"n_paths": .. (2..2**32), "seed": .. (>= 0), "step": .. (> 0),
                       "horizon": .., ["checkpoints": [..]]}]
     }
 
-Numbers must be finite, and ``true``/``false`` and strings are not
-numbers.  ``methods``, ``sweep.values`` and ``checkpoints`` are non-empty
-lists.  ``bands`` may be empty or absent when only ``DH`` is configured.
+Each parameter block is read from the fields of its dataclass
+(``BsParams``/``MjdParams``, ``OptionRef``, ``StrikeBand``,
+``ModifiedWeightConfig``, ``SimConfig``), with their defaults, and a key
+no block reads is an unknown field.  Numbers must be finite, and
+``true``/``false`` and strings are not numbers.  ``methods``,
+``sweep.values`` and ``checkpoints`` are non-empty lists.  ``bands`` may
+be empty or absent when only ``DH`` is configured.
 ``spanning.STATIC_METHODS`` gives the bands each static method needs
 (``GQ2`` two, ``GQn`` at most ``spanning.MAX_BANDS``) and the rule each
 quadrature order (``n``, a ``quad_points`` value) sizes; every order, the
@@ -59,7 +63,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +109,8 @@ METHOD_NAMES = (*STATIC_METHODS, "DH")
 _SIZED_METHODS = tuple(name for name in STATIC_METHODS if name != "CW_a")
 SWEEP_VARIABLES = ("quad_points", "band", "u1", "u2", "lambda", "mu_j", "sigma_j")
 _JUMP_FIELDS = {"lambda": "lam", "mu_j": "mu_j", "sigma_j": "sigma_j"}
+_ROOT_KEYS = ("model", "target", "methods", "bands", "sweep", "modified_weight", "simulation")
+_KINDS = {"float": float, "int": int}  # a block field's annotation -> the kind it is read as
 
 
 @dataclass(frozen=True)
@@ -180,61 +186,56 @@ def _config_errors(prefix: str):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def _parse_model(section, path="model"):
-    kind = _get(section, path, "type", str)
-    common = dict(
-        r=_get(section, path, "r", float),
-        delta_yield=_get(section, path, "delta_yield", float),
-        sigma=_get(section, path, "sigma", float),
-        mu=_get(section, path, "mu", float, required=False, default=0.0),
-    )
-    with _config_errors(f"{path}: "):
-        if kind == "bs":
-            return BsParams(**common)
-        if kind == "mjd":
-            return MjdParams(
-                lam=_get(section, path, "lam", float),
-                mu_j=_get(section, path, "mu_j", float),
-                sigma_j=_get(section, path, "sigma_j", float),
-                **common,
-            )
-    raise ConfigError(f"{path}.type: expected 'bs' or 'mjd', got {kind!r}")
+def _object(section, path: str, known) -> dict:
+    """``section``, checked to be an object with no key outside ``known``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path or 'config root'}: expected an object")
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+    return section
 
 
-def _parse_band(section, path):
-    with _config_errors(f"{path}: "):
-        return StrikeBand(
-            maturity=_get(section, path, "maturity", float),
-            lo=_get(section, path, "lo", float),
-            hi=_get(section, path, "hi", float),
-        )
+def _section(cls, section, path: str, prefix=None, extra=(), **given):
+    """``cls(**given)``, each other field read from ``section`` as its
+    annotated kind, required unless it has a default.  Keys outside those
+    fields and ``extra`` are unknown; constructor errors get ``prefix``."""
+    read = [f for f in fields(cls) if f.name not in given]
+    _object(section, path, {*extra, *(f.name for f in read)})
+    for f in read:
+        given[f.name] = _get(section, path, f.name, _KINDS[f.type], f.default is MISSING,
+                             f.default)
+    with _config_errors(f"{path}: " if prefix is None else prefix):
+        return cls(**given)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict, every sweep value included; raises
     ``ConfigError`` naming the bad field."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root: expected an object")
-    model = _parse_model(data.get("model", {}))
+    _object(data, "", _ROOT_KEYS)
+    msec = data.get("model", {})
+    kind = _get(msec, "model", "type", str)
+    if kind not in ("bs", "mjd"):
+        raise ConfigError(f"model.type: expected 'bs' or 'mjd', got {kind!r}")
+    model = _section(BsParams if kind == "bs" else MjdParams, msec, "model", extra=("type",))
     tsec = data.get("target", {})
     kind = _get(tsec, "target", "kind", str, required=False, default="call")
     if kind != "call":
         raise ConfigError(f"target.kind: only 'call' targets are supported, got {kind!r}")
-    with _config_errors("target: "):
-        target = OptionRef(strike=_get(tsec, "target", "strike", float),
-                           maturity=_get(tsec, "target", "maturity", float))
+    target = _section(OptionRef, tsec, "target", extra=("kind", "spot"))
     spot = _get(tsec, "target", "spot", float)
     if spot <= 0:
         raise ConfigError("target.spot: must be > 0")
 
     methods = []
-    for i, msec in enumerate(_coerce(data.get("methods"), "methods", list)):
-        name = _get(msec, f"methods[{i}]", "name", str)
+    for i, entry in enumerate(_coerce(data.get("methods"), "methods", list)):
+        path = f"methods[{i}]"
+        name = _get(_object(entry, path, ("name", "n")), path, "name", str)
         if name not in METHOD_NAMES:
-            raise ConfigError(f"methods[{i}].name: unknown method {name!r}")
-        n = _get(msec, f"methods[{i}]", "n", int, required=False)
+            raise ConfigError(f"{path}.name: unknown method {name!r}")
+        n = _get(entry, path, "n", int, required=False)
         if name == "DH" and n is not None and n < 1:  # check_method bounds the others
-            raise ConfigError(f"methods[{i}].n: must be >= 1")
+            raise ConfigError(f"{path}.n: must be >= 1")
         methods.append(MethodSpec(name, n))
     if len({m.name for m in methods}) != len(methods):
         raise ConfigError("methods: duplicate method names")
@@ -242,11 +243,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     raw_bands = data.get("bands", [])
     if raw_bands != []:
         raw_bands = _coerce(raw_bands, "bands", list)
-    bands = tuple(_parse_band(b, f"bands[{i}]") for i, b in enumerate(raw_bands))
+    bands = tuple(_section(StrikeBand, b, f"bands[{i}]") for i, b in enumerate(raw_bands))
 
     ssec = data.get("sweep")
     if not isinstance(ssec, dict):
         raise ConfigError("sweep: missing required block")
+    _object(ssec, "sweep", ("variable", "values", "hold_variance"))
     variable = _get(ssec, "sweep", "variable", str)
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"sweep.variable: unknown variable {variable!r}")
@@ -262,14 +264,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if variable == "u1" and not bands:
         raise ConfigError("sweep.variable: 'u1' requires at least one band")
 
-    mwsec = data.get("modified_weight", {})
-    with _config_errors("modified_weight: "):
-        mw_cfg = ModifiedWeightConfig(
-            n_inner_gq=_get(mwsec, "modified_weight", "n_inner_gq", int,
-                            required=False, default=5),
-            n_laguerre=_get(mwsec, "modified_weight", "n_laguerre", int,
-                            required=False, default=20),
-        )
+    mw_cfg = _section(ModifiedWeightConfig, data.get("modified_weight", {}), "modified_weight")
 
     sim, checkpoints = None, ()
     if "simulation" in data:
@@ -284,10 +279,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         checkpoints = tuple(_coerce(c, path, float)
                             for c in _get(sisec, "simulation", "checkpoints", list,
                                           required=False, default=[horizon]))
+        sim = _section(SimConfig, sisec, "simulation", "simulation.",
+                       ("n_paths", "horizon", "checkpoints"),
+                       n_paths=n_paths, horizon=horizon, spot0=spot)
         with _config_errors("simulation."):
-            sim = SimConfig(n_paths=n_paths, seed=_get(sisec, "simulation", "seed", int),
-                            step=_get(sisec, "simulation", "step", float),
-                            horizon=horizon, spot0=spot)
             # Statistics are read off the grid column of each checkpoint.
             for c in checkpoints:
                 if not 1 <= grid_index("checkpoints", c, sim.step) <= sim.n_steps:
@@ -377,7 +372,7 @@ def _resolve(cfg: ExperimentConfig, value):
         new = []
         for i, (entry, base) in enumerate(zip(value, bands)):
             entry = {"maturity": base.maturity, **entry} if isinstance(entry, dict) else entry
-            new.append(_parse_band(entry, f"sweep.values[..][{i}]"))
+            new.append(_section(StrikeBand, entry, f"sweep.values[..][{i}]"))
         bands = new
     else:
         x = _coerce(value, "sweep.values", float)

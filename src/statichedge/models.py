@@ -132,6 +132,11 @@ class MjdParams:
         except OverflowError:
             g = math.inf
         _require_finite("g = expm1(mu_j + sigma_j ** 2 / 2)", g)
+        try:
+            variance = annualized_variance(self)
+        except OverflowError:
+            variance = math.inf
+        _require_finite("variance sigma ** 2 + lam * (mu_j ** 2 + sigma_j ** 2)", variance)
 
     @property
     def g(self) -> float:

@@ -116,6 +116,8 @@ class SimConfig:
                 raise SimulationError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if self.n_paths < 1:
             raise SimulationError(f"n_paths: must be >= 1, got {self.n_paths!r}")
+        if self.n_paths > 2 ** 32:  # each path's spawn key is mixed as one uint32
+            raise SimulationError(f"n_paths: must be <= 2**32, got {self.n_paths!r}")
         if self.seed < 0:
             raise SimulationError(f"seed: must be >= 0, got {self.seed!r}")
         if self.step <= 0.0:

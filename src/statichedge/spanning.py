@@ -602,14 +602,17 @@ def portfolio_to_csv(portfolio: HedgePortfolio, path):
 
 
 def portfolio_from_csv(path) -> HedgePortfolio:
-    """Inverse of ``portfolio_to_csv``.  A missing, non-numeric or
-    non-finite number, a strike, maturity or spot <= 0, or a
-    ``target_kind`` other than call raises ``SpanningError`` naming the file
-    and the row or header field."""
+    """Inverse of ``portfolio_to_csv``.  A file that is not UTF-8 text, a
+    missing, non-numeric or non-finite number, a strike, maturity or spot
+    <= 0, or a ``target_kind`` other than call raises ``SpanningError``
+    naming the file (and the row or header field)."""
     meta = {}
     legs = []
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise SpanningError(f"portfolio file {path}: not UTF-8 text ({exc})") from exc
     for line in rows:
         if line.startswith(_HEADER_PREFIX.strip()):
             body = line.lstrip("#").strip()

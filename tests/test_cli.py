@@ -590,6 +590,35 @@ _FUZZ_BASES = _fuzz_bases()
 _FUZZ_FIELDS = [(i, path) for i, base in enumerate(_FUZZ_BASES) for path in _field_paths(base)]
 
 
+def test_extreme_magnitudes_exit_with_a_package_code():
+    """Every numeric leaf of every fuzz base, set in turn to each extreme."""
+    tracebacks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, path in _FUZZ_FIELDS:
+            node = _FUZZ_BASES[index]
+            for key in path:
+                node = node[key]
+            if isinstance(node, bool) or not isinstance(node, (int, float)):
+                continue
+            for value in (1e300, -1e300, 1e-300, 709.8, -709.8):
+                data = copy.deepcopy(_FUZZ_BASES[index])
+                node = data
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                cfg = _write_config(Path(tmp), data)
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main(["sweep", "--config", str(cfg),
+                                     "--out", str(Path(tmp) / "out")])
+                except Exception as exc:  # a traceback: the CLI let it escape
+                    code = repr(exc)
+                if code not in (0, 2, 3):
+                    tracebacks.append((index, path, value, code))
+    assert tracebacks == []
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(field=st.sampled_from(_FUZZ_FIELDS),
        value=st.sampled_from([None, "x", -1, 0, 0.5, True, [], {}]))

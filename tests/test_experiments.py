@@ -127,6 +127,47 @@ def test_config_root_must_be_an_object(tmp_path, capsys, root):
     assert capsys.readouterr().err == "config error: config root: expected an object\n"
 
 
+def _mjd_model(data):
+    data["model"] = {"type": "mjd", "r": 0.06, "delta_yield": 0.02, "sigma": 0.14,
+                     "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.13}
+
+
+@pytest.mark.parametrize("mutate, fragment", [
+    (lambda d: d.update(sweeep={}), "sweeep"),
+    (lambda d: d["model"].update(sigmaa=0.2), "model.sigmaa"),
+    (lambda d: d["model"].update(lam=2.0), "model.lam"),
+    (lambda d: (_mjd_model(d), d["model"].update(lamda=2.0)), "model.lamda"),
+    (lambda d: d["target"].update(strik=100.0), "target.strik"),
+    (lambda d: d["methods"][0].update(order=4), "methods[0].order"),
+    (lambda d: d["bands"][0].update(low=80.0), "bands[0].low"),
+    (lambda d: d["sweep"].update(hold_variace=0.05), "sweep.hold_variace"),
+    (lambda d: d.update(modified_weight={"n_lagurre": 40}), "modified_weight.n_lagurre"),
+    (lambda d: _small_simulation(d)["simulation"].update(checkpionts=[0.02]),
+     "simulation.checkpionts"),
+    (lambda d: _small_simulation(d)["simulation"].update(spot0=50.0), "simulation.spot0"),
+    (lambda d: d.update(sweep={"variable": "band", "values": [[{"lo": 85.0, "hi": 115.0,
+                                                                "hii": 110.0}]]}),
+     "sweep.values[..][0].hii"),
+])
+def test_unknown_field_is_config_error(tmp_path, capsys, mutate, fragment):
+    data = _base_config()
+    mutate(data)
+    with pytest.raises(ConfigError, match=f"^{re.escape(fragment)}: unknown field$"):
+        parse_config(data)
+    path = tmp_path / "exp.cfg"
+    path.write_text(json.dumps(data))
+    assert main(["price", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {fragment}: unknown field\n"
+
+
+@pytest.mark.parametrize("n_paths", [2 ** 32 + 1, 1e300])
+def test_too_many_paths_is_config_error(n_paths):
+    data = _small_simulation(_base_config())
+    data["simulation"]["n_paths"] = n_paths
+    with pytest.raises(ConfigError, match=r"^simulation\.n_paths: must be <= 2\*\*32, got "):
+        parse_config(data)
+
+
 def test_simulation_block_validation():
     data = _base_config()
     data["simulation"] = {"n_paths": 10, "seed": 1, "step": 0.01, "horizon": 0.05,

@@ -416,6 +416,17 @@ def test_parameter_validation():
             MjdParams(**{**mjd, field: value})
 
 
+@pytest.mark.parametrize("field, value", [("mu_j", -1e300), ("mu_j", -1e155),
+                                          ("lam", 1e300)])
+def test_mjd_total_variance_must_be_finite(field, value):
+    # g stays finite (expm1 of a huge negative is -1); the variance does not
+    mjd = {"r": 0.06, "delta_yield": 0.0, "sigma": 0.2, "lam": 1.0, "mu_j": -1e150,
+           "sigma_j": 0.1, field: value}
+    with pytest.raises(DomainError, match=r"^variance sigma \*\* 2 \+ lam \* \(mu_j \*\* 2 "
+                                          r"\+ sigma_j \*\* 2\) must be finite, got inf$"):
+        MjdParams(**mjd)
+
+
 def test_annualized_variance(bs_model, mjd_model):
     assert annualized_variance(bs_model) == 0.27 ** 2
     assert annualized_variance(mjd_model) == pytest.approx(0.0734, abs=1e-12)

@@ -62,6 +62,13 @@ def test_sim_config_rejects_non_finite_fields(field, value):
         SimConfig(**fields)
 
 
+@pytest.mark.parametrize("n_paths", [2 ** 32 + 1, 1e300])
+def test_sim_config_caps_paths_at_the_spawn_key_range(n_paths):
+    # rejected before anything is allocated
+    with pytest.raises(SimulationError, match=r"^n_paths: must be <= 2\*\*32, got "):
+        SimConfig(n_paths=n_paths, seed=1, step=0.01, horizon=0.1, spot0=100.0)
+
+
 def test_grid_index_is_one_rule_with_one_tolerance():
     assert simulation.grid_index("t", 21 / 252, 1 / 252) == 21
     assert simulation.grid_index("t", 0.1 + 5e-10, 0.01) == 10

@@ -591,6 +591,14 @@ def test_portfolio_csv_rejects_bad_numbers(tmp_path, header, row, fragment):
         portfolio_from_csv(path)
 
 
+def test_portfolio_csv_that_is_not_utf8_is_spanning_error(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"# b0=\xff\xfe\n")
+    with pytest.raises(SpanningError, match=f"^portfolio file {re.escape(str(path))}: "
+                                           "not UTF-8 text"):
+        portfolio_from_csv(path)
+
+
 def test_portfolio_csv_target_kind_header_is_optional(tmp_path):
     lines = [f"# {key}={value}" for key, value in _PORTFOLIO_HEADER.items()]
     rows = ["maturity,strike,weight", "0.1,100.0,1.0"]
