@@ -78,7 +78,8 @@ def _apply_seed(cfg, seed):
         raise ConfigError(f"--seed: must be >= 0, got {seed}")
     if seed is None or cfg.simulation is None:
         return cfg
-    seeded = replace(cfg, simulation=replace(cfg.simulation, seed=seed))
+    seeded = replace(cfg, simulation=replace(cfg.simulation, seed=seed),
+                     raw={**cfg.raw, "simulation": {**cfg.raw["simulation"], "seed": seed}})
     vars(seeded)["resolved"] = cfg.resolved  # the seed changes no sweep value
     return seeded
 

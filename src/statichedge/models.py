@@ -127,6 +127,8 @@ class MjdParams:
         if self.lam < 0.0:
             raise DomainError(f"lam must be >= 0, got {self.lam!r}")
         _require_finite("sigma ** 2", self.sigma * self.sigma)
+        if self.sigma * self.sigma == 0.0:  # the n = 0 series term would have vol 0
+            raise DomainError(f"sigma ** 2 must be > 0, got 0.0 from sigma {self.sigma!r}")
         try:
             g = self.g
         except OverflowError:

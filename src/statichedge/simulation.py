@@ -139,10 +139,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Simulated spot grid: ``times`` of shape (N+1,), ``values`` of shape
-    (n_paths, N+1) with ``values[:, 0] == spot0``.  Any other shapes,
-    fewer than two grid times, no path, or paths that start at different
-    spots raise ``SimulationError``."""
+    """Simulated spot grid: ``times`` ``0, h, 2h, ...`` (``h > 0``, each
+    within ``1e-9``) and ``values`` of shape (n_paths, len(times)) with
+    ``values[:, 0] == spot0``.  Any other grid or shapes, fewer than two
+    times, no path, or paths that start apart raise ``SimulationError``."""
 
     times: np.ndarray
     values: np.ndarray
@@ -152,6 +152,10 @@ class PathSet:
             raise SimulationError(f"paths: need at least 2 grid times and an (n_paths, n_times) "
                                   f"value matrix, got times of shape {self.times.shape} and "
                                   f"values of shape {self.values.shape}")
+        off_grid = np.abs(self.times - np.arange(self.times.size) * self.times[1])
+        if not (self.times[0] == 0.0 and self.times[1] > 0.0 and np.all(off_grid <= _GRID_TOL)):
+            raise SimulationError(f"paths: grid times must be 0, h, 2h, ... with h > 0, "
+                                  f"got {self.times[:3].tolist()} ... {self.times[-1]!r}")
         if not self.values.shape[0] or np.any(self.values[:, 0] != self.values[0, 0]):
             raise SimulationError("paths: need at least one path, and every path must "
                                   "start at the same spot")
@@ -431,7 +435,8 @@ class HedgeErrorStats:
 
 
 def summarize(errors: np.ndarray) -> HedgeErrorStats:
-    """Summarize a vector of hedge errors at one fixed time."""
+    """Summarize a vector of hedge errors at one fixed time; the first
+    statistic that is not finite raises ``SimulationError`` naming it."""
     e = np.asarray(errors, dtype=float).ravel()
     if e.size < 2:
         raise SimulationError("need at least 2 samples to summarize")
@@ -445,7 +450,7 @@ def summarize(errors: np.ndarray) -> HedgeErrorStats:
         skew = float(np.mean(centered ** 3) / m2 ** 1.5)
         kurt = float(np.mean(centered ** 4) / m2 ** 2 - 3.0)
     p95, p05 = np.percentile(e, [95, 5]).tolist()
-    return HedgeErrorStats(
+    stats = HedgeErrorStats(
         p95=p95,
         p05=p05,
         rmse=float(np.sqrt(np.mean(e ** 2))),
@@ -457,6 +462,10 @@ def summarize(errors: np.ndarray) -> HedgeErrorStats:
         kurtosis=kurt,
         degenerate=degenerate,
     )
+    for name, value in stats.to_dict().items():
+        if not math.isfinite(value):
+            raise SimulationError(f"summarize: {name} is not finite, got {value!r}")
+    return stats
 
 
 def pfe_curves(errors: np.ndarray, levels=(95, 5)) -> dict:

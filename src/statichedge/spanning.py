@@ -310,22 +310,16 @@ def _outside_stacklevel():
 
 
 def _cw_a_legs(model, target, band, ladder):
-    """The largest ``ladder(model, u, n)`` whose strikes all fit ``band``.
-
-    The order search maps strikes only; the gamma weight is evaluated at
-    the chosen order, or at order 1 before the centre strike is rejected.
-    A strike the weight rejects (0 or inf) ends the search too, and the
-    ladder of that order then raises the weight's error, so errors come as
-    when every trial order was weighted.
-    """
-    u, n, fits = band.maturity, 0, True
-    while fits and n < ORDER_CAP[HERMITE]:
+    """The largest ``ladder(model, u, n)`` whose strikes all fit ``band``:
+    the strike-only search stops at the first order with a strike outside
+    the band or not above 0, and only the order before it is weighted."""
+    u, n = band.maturity, 0
+    while n < ORDER_CAP[HERMITE]:
         _, strikes, _ = _hermite_strikes(model, target.strike, target.maturity, u, n + 1)
-        fits = all(band.contains(k) and k > 0.0 for k in strikes.tolist())
-        n += fits
+        if not all(band.contains(k) and k > 0.0 for k in strikes.tolist()):
+            break
+        n += 1
     pairs = ladder(model, u, max(n, 1))
-    if not fits and not all(0.0 < k < math.inf for k in strikes.tolist()):
-        ladder(model, u, n + 1)  # raises: the weight rejects these strikes
     if n == 0:
         raise SpanningError(
             f"band [{band.lo}, {band.hi}] excludes the hermite center strike "
@@ -460,7 +454,9 @@ def build_cw_a(model: ModelSpec, target: OptionRef, S: float, band: StrikeBand) 
     one-case, one-method call of ``build_sweep``.
 
     The order search starts at 1 and stops at the first order with a strike
-    outside ``[band.lo, band.hi]``; the previous order wins.
+    outside ``[band.lo, band.hi]`` or not above 0; the previous order wins.
+    Only that ladder is weighted; when no order fits, order 1's weight error
+    or a ``SpanningError`` naming the centre strike is raised.
     """
     return build_sweep(target, S, [(model, [band], {"CW_a": None})])[0]["CW_a"]
 

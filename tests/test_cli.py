@@ -1,8 +1,11 @@
 import contextlib
 import copy
+import csv
 import io
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -174,6 +177,20 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(c)]) == 0
     assert (a / "stats.csv").read_bytes() == (c / "stats.csv").read_bytes()
     assert (a / "stats.csv").read_bytes() != (b / "stats.csv").read_bytes()
+
+
+def test_seed_override_is_recorded_in_the_report_config(tmp_path):
+    cfg = _write_config(tmp_path, _small_sim_config())
+    configs = []
+    for name, flag in (("plain", []), ("seeded", ["--seed", "7"])):
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name),
+                     "--format", "json", *flag]) == 0
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        configs.append(report["metadata"]["config"])
+    plain, seeded = configs
+    assert plain["simulation"]["seed"] == 5 and seeded["simulation"]["seed"] == 7
+    seeded["simulation"]["seed"] = 5
+    assert seeded == plain
 
 
 def test_pfe_subcommand(tmp_path):
@@ -590,10 +607,26 @@ _FUZZ_BASES = _fuzz_bases()
 _FUZZ_FIELDS = [(i, path) for i, base in enumerate(_FUZZ_BASES) for path in _field_paths(base)]
 
 
+def _numeric_cells_are_finite(out):
+    """Whether every CSV cell under ``out`` that reads as a float is finite."""
+    for path in out.glob("*.csv"):
+        for row in csv.reader(path.read_text().splitlines()):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:  # empty, a method name or a flag
+                    continue
+                if not math.isfinite(value):
+                    return False
+    return True
+
+
 def test_extreme_magnitudes_exit_with_a_package_code():
-    """Every numeric leaf of every fuzz base, set in turn to each extreme."""
-    tracebacks = []
+    """Every numeric leaf of every fuzz base, set in turn to each extreme.
+    A run that exits 0 writes only finite numbers."""
+    tracebacks, not_finite = [], []
     with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
         for index, path in _FUZZ_FIELDS:
             node = _FUZZ_BASES[index]
             for key in path:
@@ -607,16 +640,19 @@ def test_extreme_magnitudes_exit_with_a_package_code():
                     node = node[key]
                 node[path[-1]] = value
                 cfg = _write_config(Path(tmp), data)
+                shutil.rmtree(out, ignore_errors=True)
                 try:
                     with contextlib.redirect_stdout(io.StringIO()), \
                             contextlib.redirect_stderr(io.StringIO()):
-                        code = main(["sweep", "--config", str(cfg),
-                                     "--out", str(Path(tmp) / "out")])
+                        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
                 except Exception as exc:  # a traceback: the CLI let it escape
                     code = repr(exc)
                 if code not in (0, 2, 3):
                     tracebacks.append((index, path, value, code))
+                elif code == 0 and not _numeric_cells_are_finite(out):
+                    not_finite.append((index, path, value))
     assert tracebacks == []
+    assert not_finite == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

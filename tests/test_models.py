@@ -20,6 +20,8 @@ from statichedge import (
     call_marks,
     call_price,
     delta,
+    make_rule,
+    map_to_interval,
     put_price,
     strike_gamma_weight,
 )
@@ -252,6 +254,31 @@ def test_gamma_weight_matches_second_difference(bs_model, mjd_model):
             assert strike_gamma_weight(model, x, u, K, MATURITY) == pytest.approx(fd, abs=1e-5)
 
 
+@pytest.mark.parametrize("model", [
+    BsParams(r=0.06, delta_yield=0.02, sigma=0.27),
+    MjdParams(r=0.06, delta_yield=0.02, sigma=0.2, lam=2.0, mu_j=-0.1, sigma_j=0.15),
+], ids=["bs", "mjd"])
+def test_chapman_kolmogorov_identity(model):
+    """The multi-period relation behind the GQn hedges: for u < v < T,
+    int_0^inf G(y; v, K, T) G(k; u, y, v) dy = G(k; u, K, T), with G the
+    gamma weight.  The integral runs over log y with an order-200 Legendre
+    rule on ln K +- 14 sqrt(V (T - u)).
+
+    A factor e^{c tau} applied at every maturity, a discount dropped
+    everywhere for one, keeps this identity, so the test cannot catch it.
+    It does catch a maturity mixed into the wrong term: a jump-series
+    variance that is not divided by tau, or vols * tau in place of
+    vols * sqrt(tau) in d1."""
+    K, T, u, v = 100.0, 1.0, 0.1, 0.4
+    half = 14.0 * math.sqrt(annualized_variance(model) * (T - u))
+    rule = map_to_interval(make_rule("legendre", 200), math.log(K) - half, math.log(K) + half)
+    y = np.exp(rule.nodes)
+    outer = rule.weights * y * strike_gamma_weight(model, y, v, K, T)
+    for k in (70.0, 100.0, 130.0):
+        pushed = float(np.dot(outer, strike_gamma_weight(model, k, u, y, v)))
+        assert pushed == pytest.approx(strike_gamma_weight(model, k, u, K, T), rel=1e-12, abs=0)
+
+
 def test_mjd_degenerates_to_bs_without_jumps(bs_model):
     degenerate = MjdParams(r=0.06, delta_yield=0.0, sigma=0.27,
                            lam=0.0, mu_j=-0.1, sigma_j=0.13, mu=0.1)
@@ -414,6 +441,19 @@ def test_parameter_validation():
                                ("sigma_j", 1e200, g)]:
         with pytest.raises(DomainError, match=f"^{re.escape(name)} must be finite, got inf$"):
             MjdParams(**{**mjd, field: value})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+def test_mjd_sigma_whose_square_underflows_is_a_domain_error():
+    # The n = 0 series term would have vol 0 and a NaN gamma weight.  At
+    # sigma 1e-160 that term's d1 squares to inf, and its density is 0.
+    mjd = {"r": 0.06, "delta_yield": 0.0, "lam": 2.0, "mu_j": -0.1, "sigma_j": 0.15}
+    with pytest.raises(DomainError, match=r"^sigma \*\* 2 must be > 0, got 0\.0 from sigma 1e-300$"):
+        MjdParams(sigma=1e-300, **mjd)
+    tiny = MjdParams(sigma=1e-160, **mjd)  # square 1e-320, subnormal but positive
+    assert math.isfinite(strike_gamma_weight(tiny, STRIKE, 0.5, STRIKE, MATURITY))
+    # Black-Scholes prices with sigma itself, so its square may underflow
+    assert math.isfinite(call_price(BsParams(0.06, 0.0, 1e-300), SPOT, 0.0, STRIKE, MATURITY))
 
 
 @pytest.mark.parametrize("field, value", [("mu_j", -1e300), ("mu_j", -1e155),

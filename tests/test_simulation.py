@@ -295,6 +295,18 @@ def test_path_set_rejects_paths_that_start_apart(values):
         PathSet(np.arange(3) * STEP, values)
 
 
+@pytest.mark.parametrize("times", [
+    np.arange(3) * STEP + 0.2,                # shifted
+    np.arange(3)[::-1] * STEP,                # reversed
+    np.array([0.0, 1.0, 3.0]) / 252,          # uneven
+    np.array([0.0, math.nan, 2 * STEP]),      # NaN step
+    np.array([0.0, STEP, math.nan]),          # NaN later time
+])
+def test_path_set_rejects_a_grid_other_than_multiples_of_one_step(times):
+    with pytest.raises(SimulationError, match=r"^paths: grid times must be 0, h, 2h, \.\.\."):
+        PathSet(times, np.full((2, 3), SPOT))
+
+
 def test_static_hedge_runs_reject_a_portfolio_built_at_another_spot(bs_model, target):
     paths = simulate_paths(bs_model, SimConfig(n_paths=4, seed=2, step=STEP,
                                                horizon=U2_GRID, spot0=SPOT))
@@ -464,6 +476,16 @@ def test_summarize_percentiles_are_bitwise_one_at_a_time(n):
 def test_summarize_rejects_tiny_samples():
     with pytest.raises(SimulationError):
         summarize(np.array([1.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow and NaN warnings
+@pytest.mark.parametrize("errors, name, value", [
+    ([1e300, -1e300] * 4, "rmse", "inf"),  # e ** 2 overflows
+    ([1.0, math.nan, 2.0], "p95", "nan"),
+])
+def test_summarize_rejects_a_statistic_that_is_not_finite(errors, name, value):
+    with pytest.raises(SimulationError, match=f"^summarize: {name} is not finite, got {value}$"):
+        summarize(np.array(errors))
 
 
 def test_stats_ordering_invariants(bs_model, target):

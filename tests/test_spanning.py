@@ -112,17 +112,20 @@ def test_cw_a_center_excluded(bs_model, target):
         build_cw_a(bs_model, target, SPOT, StrikeBand(U1, 120.0, 130.0))
 
 
-def test_cw_a_raises_the_weight_error_of_the_first_rejected_order(target):
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_cw_a_keeps_the_last_order_before_a_strike_underflows(target):
     # At sigma 30 the order-163 ladder is the first with a strike that
-    # underflows to 0: the order search stops there, and the build raises
-    # the error the gamma weight raises on that ladder, not order 162's legs.
+    # underflows to 0: the order search stops there, and order 162 wins
+    # without order 163 ever being weighted.  Its 4.9e-322 strike overflows
+    # a division while pricing, hence the filtered warning.
     model = BsParams(0.06, 0.0, 30.0)
-    message = "^spot and strike must be finite and strictly positive$"
-    assert len(hermite_strike_map(model, STRIKE, MATURITY, 0.5, 162)) == 162
-    with pytest.raises(DomainError, match=message):
+    ladder = hermite_strike_map(model, STRIKE, MATURITY, 0.5, 162)
+    with pytest.raises(DomainError, match="^spot and strike must be finite and strictly positive$"):
         hermite_strike_map(model, STRIKE, MATURITY, 0.5, 163)
-    with pytest.raises(DomainError, match=message):
-        build_cw_a(model, target, SPOT, StrikeBand(0.5, 0.0, 1e300))
+    portfolio = build_cw_a(model, target, SPOT, StrikeBand(0.5, 0.0, 1e300))
+    assert [(leg.strike, leg.weight) for leg in portfolio.legs] == ladder
+    assert len(ladder) == 162 and ladder[0][0] > 0.0
+    assert abs(portfolio.b0) < 1e-10
 
 
 def test_cw_b_survivor_counts_and_errors(bs_model, target):
