@@ -30,8 +30,8 @@ Config schema::
                       "horizon": .., ["checkpoints": [..]]}]
     }
 
-Each parameter block is read from the fields of its dataclass
-(``BsParams``/``MjdParams``, ``OptionRef``, ``StrikeBand``,
+Each block is read from the fields of its dataclass (``BsParams``/
+``MjdParams``, ``OptionRef``, ``MethodSpec``, ``StrikeBand``, ``SweepSpec``,
 ``ModifiedWeightConfig``, ``SimConfig``), with their defaults, and a key
 no block reads is an unknown field.  Numbers must be finite, and
 ``true``/``false`` and strings are not numbers.  ``methods``,
@@ -63,7 +63,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,8 @@ _SIZED_METHODS = tuple(name for name in STATIC_METHODS if name != "CW_a")
 SWEEP_VARIABLES = ("quad_points", "band", "u1", "u2", "lambda", "mu_j", "sigma_j")
 _JUMP_FIELDS = {"lambda": "lam", "mu_j": "mu_j", "sigma_j": "sigma_j"}
 _ROOT_KEYS = ("model", "target", "methods", "bands", "sweep", "modified_weight", "simulation")
-_KINDS = {"float": float, "int": int}  # a block field's annotation -> the kind it is read as
+_KINDS = {"str": str, "float": float, "int": int, "tuple": tuple,  # a field annotation's kind
+          "float | None": float, "int | None": int}
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,12 @@ class ExperimentConfig:
 
 
 def _coerce(value, path: str, kind):
-    """``value`` read as ``kind``: a finite float, an int or a non-empty
-    list; any other ``kind`` passes the value through.  Booleans and
+    """``value`` read as ``kind``: a finite float, an int or a non-empty list
+    (a tuple for ``tuple``); other kinds pass it through.  Booleans and
     strings are not numbers.  Raises ``ConfigError`` naming ``path``."""
-    if kind is list:
+    if kind in (list, tuple):
         if isinstance(value, list) and value:
-            return value
+            return kind(value)
         raise ConfigError(f"{path}: must be a non-empty list")
     if kind not in (float, int):
         return value
@@ -229,14 +230,12 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     methods = []
     for i, entry in enumerate(_coerce(data.get("methods"), "methods", list)):
-        path = f"methods[{i}]"
-        name = _get(_object(entry, path, ("name", "n")), path, "name", str)
-        if name not in METHOD_NAMES:
-            raise ConfigError(f"{path}.name: unknown method {name!r}")
-        n = _get(entry, path, "n", int, required=False)
-        if name == "DH" and n is not None and n < 1:  # check_method bounds the others
-            raise ConfigError(f"{path}.n: must be >= 1")
-        methods.append(MethodSpec(name, n))
+        m = _section(MethodSpec, entry, f"methods[{i}]")
+        if m.name not in METHOD_NAMES:
+            raise ConfigError(f"methods[{i}].name: unknown method {m.name!r}")
+        if m.name == "DH" and m.n is not None and m.n < 1:  # check_method bounds the others
+            raise ConfigError(f"methods[{i}].n: must be >= 1")
+        methods.append(m)
     if len({m.name for m in methods}) != len(methods):
         raise ConfigError("methods: duplicate method names")
 
@@ -245,23 +244,18 @@ def parse_config(data: dict) -> ExperimentConfig:
         raw_bands = _coerce(raw_bands, "bands", list)
     bands = tuple(_section(StrikeBand, b, f"bands[{i}]") for i, b in enumerate(raw_bands))
 
-    ssec = data.get("sweep")
-    if not isinstance(ssec, dict):
+    if not isinstance(ssec := data.get("sweep"), dict):
         raise ConfigError("sweep: missing required block")
-    _object(ssec, "sweep", ("variable", "values", "hold_variance"))
-    variable = _get(ssec, "sweep", "variable", str)
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"sweep.variable: unknown variable {variable!r}")
-    values = _get(ssec, "sweep", "values", list)
-    hold_variance = _get(ssec, "sweep", "hold_variance", float, required=False)
-    if hold_variance is not None and variable not in _JUMP_FIELDS:
+    sweep = _section(SweepSpec, ssec, "sweep")
+    if sweep.variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"sweep.variable: unknown variable {sweep.variable!r}")
+    if sweep.hold_variance is not None and sweep.variable not in _JUMP_FIELDS:
         raise ConfigError("sweep.hold_variance: only valid for jump-parameter sweeps")
-    sweep = SweepSpec(variable, tuple(values), hold_variance)
-    if variable in _JUMP_FIELDS and not isinstance(model, MjdParams):
-        raise ConfigError(f"sweep.variable: {variable!r} requires a jump-diffusion model")
-    if variable == "u2" and len(bands) < 2:
+    if sweep.variable in _JUMP_FIELDS and not isinstance(model, MjdParams):
+        raise ConfigError(f"sweep.variable: {sweep.variable!r} requires a jump-diffusion model")
+    if sweep.variable == "u2" and len(bands) < 2:
         raise ConfigError("sweep.variable: 'u2' requires at least two bands")
-    if variable == "u1" and not bands:
+    if sweep.variable == "u1" and not bands:
         raise ConfigError("sweep.variable: 'u1' requires at least one band")
 
     mw_cfg = _section(ModifiedWeightConfig, data.get("modified_weight", {}), "modified_weight")
@@ -295,7 +289,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 check_method(m.name, None, bands)
             with _config_errors(f"methods[{i}].n: "):
                 check_method(m.name, m.n, bands)
-        if m.name in _SIZED_METHODS and m.n is None and variable != "quad_points":
+        if m.name in _SIZED_METHODS and m.n is None and sweep.variable != "quad_points":
             raise ConfigError(f"methods[{i}].n: required unless sweeping quad_points")
         if m.name == "DH" and sim is None:
             raise ConfigError(f"methods[{i}]: DH requires a simulation block")
@@ -319,14 +313,18 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(data)
 
 
+def _as_dict(record) -> dict:
+    """A dataclass record's fields, by name (``asdict`` deep-copies them)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass
 class ReportRow:
     sweep_value: object
     methods: dict
     pdl: float | None
 
-    def to_dict(self):
-        return {"sweep_value": self.sweep_value, "methods": self.methods, "pdl": self.pdl}
+    to_dict = _as_dict
 
 
 @dataclass
@@ -336,16 +334,12 @@ class Report:
     metadata: dict
 
     def to_dict(self):
-        return {
-            "variable": self.variable,
-            "rows": [row.to_dict() for row in self.rows],
-            "metadata": self.metadata,
-        }
+        return {**_as_dict(self), "rows": [row.to_dict() for row in self.rows]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
-        rows = [ReportRow(r["sweep_value"], r["methods"], r["pdl"]) for r in data["rows"]]
-        return cls(data["variable"], rows, data["metadata"])
+        rows = [ReportRow(**{f.name: r[f.name] for f in fields(ReportRow)}) for r in data["rows"]]
+        return cls(**{f.name: data[f.name] for f in fields(cls)} | {"rows": rows})
 
 
 def _resolve(cfg: ExperimentConfig, value):
@@ -481,18 +475,19 @@ def run_experiment(cfg: ExperimentConfig, threads=None) -> Report:
             for value, (_, _, orders), portfolios in zip(cfg.sweep.values, cfg.resolved, built)]
     if cfg.simulation is not None:
         columns = [grid_index("checkpoints", c, cfg.simulation.step) for c in cfg.checkpoints]
+        summaries = {}  # by id: every value of a model group shares its DH matrix
         for row, errors in zip(rows, simulate_methods(cfg, built, columns, threads)):
             for name, matrix in errors.items():
-                row.methods.setdefault(name, {})["stats"] = [
-                    {"time": c, **summarize(matrix[:, j]).to_dict()}
-                    for j, c in enumerate(cfg.checkpoints)]
+                if id(matrix) not in summaries:
+                    summaries[id(matrix)] = [{"time": c, **summarize(matrix[:, j]).to_dict()}
+                                             for j, c in enumerate(cfg.checkpoints)]
+                row.methods.setdefault(name, {})["stats"] = summaries[id(matrix)]
     metadata = {
         "package": "statichedge",
         "version": __version__,
         "sweep_variable": cfg.sweep.variable,
         "defaults": {
-            "n_inner_gq": cfg.modified_weight.n_inner_gq,
-            "n_laguerre": cfg.modified_weight.n_laguerre,
+            **asdict(cfg.modified_weight),
             "mjd_series": {"min_terms": MIN_TERMS, "pmf_cutoff": PMF_CUTOFF,
                            "max_terms": MAX_TERMS},
             "maturity_gap_guard": MATURITY_GAP,

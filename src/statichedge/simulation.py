@@ -142,7 +142,8 @@ class PathSet:
     """Simulated spot grid: ``times`` ``0, h, 2h, ...`` (``h > 0``, each
     within ``1e-9``) and ``values`` of shape (n_paths, len(times)) with
     ``values[:, 0] == spot0``.  Any other grid or shapes, fewer than two
-    times, no path, or paths that start apart raise ``SimulationError``."""
+    times, no path, paths that start apart, or a spot that is not finite
+    and > 0 raise ``SimulationError``."""
 
     times: np.ndarray
     values: np.ndarray
@@ -159,6 +160,8 @@ class PathSet:
         if not self.values.shape[0] or np.any(self.values[:, 0] != self.values[0, 0]):
             raise SimulationError("paths: need at least one path, and every path must "
                                   "start at the same spot")
+        if not (self.values.min() > 0.0 and self.values.max() < math.inf):  # NaN fails both
+            raise SimulationError("paths: every spot must be finite and > 0")
         self.times.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -281,7 +284,8 @@ def simulate_paths(model: ModelSpec, cfg: SimConfig) -> PathSet:
             log_increments = log_increments + (
                 counts * model.mu_j + model.sigma_j * np.sqrt(counts) * z_jump
             )
-        growth = np.exp(np.cumsum(log_increments, axis=1))
+        with np.errstate(over="ignore"):  # an overflowed spot fails PathSet's check
+            growth = np.exp(np.cumsum(log_increments, axis=1))
         np.multiply(cfg.spot0, growth, out=values[lo:hi, 1:])
     return PathSet(cfg.times, values)
 
@@ -434,6 +438,7 @@ class HedgeErrorStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness check names the failure
 def summarize(errors: np.ndarray) -> HedgeErrorStats:
     """Summarize a vector of hedge errors at one fixed time; the first
     statistic that is not finite raises ``SimulationError`` naming it."""

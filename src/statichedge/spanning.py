@@ -387,8 +387,9 @@ def build_sweep(
     call, and a failure caches nothing, so only finished work is reused.
 
     Cases are built in order, and each case's methods in the order of its
-    ``orders``; the first one that fails raises, unless the inception
-    pricing of an earlier case or method fails, which comes first.
+    ``orders`` (none when the model's return variance is 0); the first one
+    that fails raises, unless the inception pricing of an earlier case or
+    method fails, which comes first.
     """
 
     @functools.cache
@@ -430,6 +431,9 @@ def build_sweep(
     built = []
     try:
         for model, bands, orders in cases:
+            if orders and annualized_variance(model) == 0.0:  # every rule spreads by sqrt(V tau)
+                raise SpanningError(f"sigma {model.sigma!r} gives a return variance of 0.0: "
+                                    "no static hedge can spread its strikes")
             bands, legs = tuple(bands), {}
             built.append((model, legs))
             for name, n in orders.items():

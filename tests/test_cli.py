@@ -670,3 +670,22 @@ def test_malformed_config_field_exits_with_a_package_code(field, value):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["sweep", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # e ** 2 overflows in summarize
+    ("spot", 1e300, "summarize: rmse is not finite, got inf"),
+    # the simulated spots overflow to inf, or underflow to 0
+    ("mu", 1e300, "paths: every spot must be finite and > 0"),
+    ("mu", -1e300, "paths: every spot must be finite and > 0"),
+])
+def test_numerical_failure_prints_the_package_message_only(tmp_path, capsys, field, value,
+                                                           message):
+    data = copy.deepcopy(_FUZZ_BASES[0])
+    data["target" if field == "spot" else "model"][field] = value
+    cfg = _write_config(tmp_path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"

@@ -160,6 +160,18 @@ def test_unknown_field_is_config_error(tmp_path, capsys, mutate, fragment):
     assert capsys.readouterr().err == f"config error: {fragment}: unknown field\n"
 
 
+@pytest.mark.parametrize("mutate, message", [
+    # a block is read from its dataclass first, so a bad field comes before a bad name
+    (lambda d: d["methods"][0].update(name="XX", n="x"), "methods[0].n: expected int, got 'x'"),
+    (lambda d: d.update(sweep={"variable": "zz"}), "sweep.values: missing required field"),
+])
+def test_a_block_is_read_before_its_checks(mutate, message):
+    data = _base_config()
+    mutate(data)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(data)
+
+
 @pytest.mark.parametrize("n_paths", [2 ** 32 + 1, 1e300])
 def test_too_many_paths_is_config_error(n_paths):
     data = _small_simulation(_base_config())
@@ -416,6 +428,15 @@ def test_band_sweep_simulates_and_delta_hedges_once(monkeypatch):
     report = run_experiment(parse_config(data))
     assert len(sims) == 1 and len(delta_runs) == 1
     assert all(len(info["stats"]) == 2 for row in report.rows for info in row.methods.values())
+
+
+def test_table12_summarizes_each_error_matrix_once(monkeypatch):
+    # 3 band values x 4 static methods, plus the one DH matrix the values share
+    calls = _count_calls(monkeypatch, "summarize")
+    report = run_experiment(load_config(CONFIG_DIR / "table12.cfg"), threads=1)
+    assert len(calls) == 13
+    assert all(row.methods["DH"]["stats"] == report.rows[0].methods["DH"]["stats"]
+               for row in report.rows)
 
 
 def test_lambda_sweep_simulates_once_per_value(monkeypatch):

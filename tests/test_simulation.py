@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -307,6 +308,27 @@ def test_path_set_rejects_a_grid_other_than_multiples_of_one_step(times):
         PathSet(times, np.full((2, 3), SPOT))
 
 
+@pytest.mark.parametrize("path, column, spot", [
+    *((1, 2, spot) for spot in (math.inf, math.nan, 0.0, -1.0)),  # one later spot
+    *((slice(None), 0, spot) for spot in (math.inf, 0.0, -1.0)),  # every path's start
+])
+def test_path_set_rejects_a_spot_that_is_not_finite_and_positive(path, column, spot):
+    values = np.full((2, 3), SPOT)
+    values[path, column] = spot
+    with pytest.raises(SimulationError, match=r"^paths: every spot must be finite and > 0$"):
+        PathSet(np.arange(3) * STEP, values)
+
+
+@pytest.mark.parametrize("mu", [1e300, -1e300])  # the spots overflow to inf, or underflow to 0
+def test_simulated_paths_out_of_range_fail_without_numpy_warnings(mu):
+    cfg = SimConfig(n_paths=4, seed=5, step=STEP, horizon=10 * STEP, spot0=SPOT)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationError, match=r"^paths: every spot must be finite and > 0$"):
+            simulate_paths(BsParams(0.06, 0.0, 0.27, mu), cfg)
+    assert caught == []
+
+
 def test_static_hedge_runs_reject_a_portfolio_built_at_another_spot(bs_model, target):
     paths = simulate_paths(bs_model, SimConfig(n_paths=4, seed=2, step=STEP,
                                                horizon=U2_GRID, spot0=SPOT))
@@ -486,6 +508,16 @@ def test_summarize_rejects_tiny_samples():
 def test_summarize_rejects_a_statistic_that_is_not_finite(errors, name, value):
     with pytest.raises(SimulationError, match=f"^summarize: {name} is not finite, got {value}$"):
         summarize(np.array(errors))
+
+
+@pytest.mark.parametrize("errors", [[1e300, -1e300] * 4, [1e200, -1e200, 1.0],
+                                    [math.inf, 1.0, 2.0]])
+def test_summarize_fails_without_numpy_warnings(errors):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SimulationError, match="^summarize: "):
+            summarize(np.array(errors))
+    assert caught == []
 
 
 def test_stats_ordering_invariants(bs_model, target):

@@ -453,6 +453,24 @@ def test_gq_n_band_validation(bs_model, target):
             build_sweep(target, SPOT, [(bs_model, [b1], {name: 4})])
 
 
+def test_zero_variance_model_builds_no_static_hedge(target):
+    # sigma ** 2 underflows to 0, and every static rule spreads its strikes by sqrt(V tau)
+    model = BsParams(0.06, 0.0, 1e-300)
+    b1, b2 = StrikeBand(10 / 63, 80.0, 120.0), StrikeBand(5 / 63, 80.0, 120.0)
+    message = (r"^sigma 1e-300 gives a return variance of 0\.0: "
+               r"no static hedge can spread its strikes$")
+    for build in (lambda: build_cw_a(model, target, SPOT, b1),
+                  lambda: build_cw_b(model, target, SPOT, b1, 20),
+                  lambda: build_gq1(model, target, SPOT, b1, 5),
+                  lambda: build_gq2(model, target, SPOT, b1, b2, 5),
+                  lambda: build_gq_n(model, target, SPOT, [b1, b2], 5)):
+        with pytest.raises(SpanningError, match=message):
+            build()
+    # a case with no static method (a DH-only config) builds nothing, and the kernel still prices
+    assert build_sweep(target, SPOT, [(model, [b1], {})]) == [{}]
+    assert math.isfinite(call_price(model, SPOT, 0.0, STRIKE, MATURITY))
+
+
 # ---------------------------------------------------------------------------
 # Valuation and diagnostics
 # ---------------------------------------------------------------------------
